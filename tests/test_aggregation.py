@@ -15,8 +15,8 @@ from aggnet.aggregation import (
     FMeanLayer,
     GaussianSupportLayer,
     HybridLayer,
+    _CHUNK_ELEMS,
     _affinity_moments,
-    _pair_moments_numpy,
     fmean_aggregate,
     fmean_weights,
     gaussian_affinity,
@@ -328,17 +328,36 @@ class TestGaussianSupportWeights:
 
 
 class TestAffinityMoments:
-    def test_jit_and_numpy_paths_agree(self):
+    def test_chunked_moments_match_affinity_matrix(self):
+        """n=128 over three full chunks and a ragged last one, to 1e-13."""
+        n = 128
+        step = _CHUNK_ELEMS // (n * n)
+        rows = 3 * step + step // 2 + 1
+        assert rows // step >= 3 and rows % step
         rng = np.random.default_rng(14)
-        z = rng.standard_normal((3, 4, 6))
-        sigma = rng.uniform(0.3, 3.0, size=(3, 4))
-        r, s, q = _affinity_moments(z, sigma)
-        Z = z.reshape(-1, 6)
-        inv = (1.0 / (2 * sigma * sigma)).reshape(-1)
-        rn, sn, qn = _pair_moments_numpy(Z, inv)
-        np.testing.assert_allclose(r, rn.reshape(z.shape), rtol=1e-12)
-        np.testing.assert_allclose(s, sn.reshape(z.shape), rtol=1e-12)
-        np.testing.assert_allclose(q, qn.reshape(z.shape), rtol=1e-12)
+        z = rng.standard_normal((rows, n))
+        sigma = rng.uniform(0.3, 3.0, size=rows)
+        aff = gaussian_affinity(z, sigma)
+        want = (
+            aff.sum(-1),
+            np.einsum("mij,mj->mi", aff, z),
+            np.einsum("mij,mj->mi", aff, z * z),
+        )
+        for got, ref in zip(_affinity_moments(z, sigma), want):
+            assert got.shape == z.shape
+            scale = np.abs(ref).max(axis=-1, keepdims=True)
+            assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+
+    def test_underflow_leaves_only_the_diagonal(self):
+        """Gaps of 125 at sigma 1e-3: every off-diagonal affinity is 0."""
+        rng = np.random.default_rng(20)
+        grid = np.broadcast_to(np.linspace(-500.0, 500.0, 9), (2, 3, 9))
+        z = rng.permuted(grid, axis=-1)
+        r, s, q = _affinity_moments(z, np.full((2, 3), 1e-3))
+        assert not np.isnan(np.stack([r, s, q])).any()
+        np.testing.assert_array_equal(r, 1.0)
+        np.testing.assert_array_equal(s, z)
+        np.testing.assert_array_equal(q, z * z)
 
     def test_moments_match_affinity_matrix(self):
         """Row moments equal the sums of the explicitly built matrix."""

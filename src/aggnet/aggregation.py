@@ -2,16 +2,20 @@
 
 Instead of the plain weighted sum, each output unit forms the scaled
 contributions z_i = w_i * x_i (a Hadamard row, one z vector per unit) and
-reduces them with a learnable rule:
+reduces them along one or more paths:
 
+* linear: the plain sum of z.
 * F-Mean: weights proportional to softplus(z_i)^p with a per-unit
   learnable exponent p.  p = 0 gives the uniform mean, large p approaches
   the max; the weighted value is the raw z_i, not its softplus.
 * Gaussian support: each z_i is weighted by its summed Gaussian affinity
   to the other contributions, normalised to sum to 1; the kernel width
   is learnable per unit, stored as log sigma.
-* Hybrid: a sigmoid- (two-way) or softmax- (three-way) blended mix of the
-  plain sum and the learnable rules, sharing one W per unit.
+
+One layer class, :class:`HybridLayer`, covers the five kinds of
+``KIND_PATHS``: one learnable path alone, or the linear path blended with
+one or both learnable paths.  ``FMeanLayer`` and ``GaussianSupportLayer``
+name the two single-path kinds.
 
 Every forward is evaluated in log space where needed so outputs stay
 finite for extreme inputs, and every backward is exact (finite-difference
@@ -91,31 +95,14 @@ def _affinity_moments(z: np.ndarray, sigma: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def fmean_weights(z, p, eps: float = EPS) -> np.ndarray:
-    """Power-normalised weights softplus(z_i)^p / (sum_j softplus(z_j)^p + eps).
-
-    Reduces over the last axis of ``z``; ``p`` is a scalar or an array
-    broadcastable to the leading shape.  Powers are taken as
-    exp(p * ln softplus(z)) so any real p is valid, and the normalisation
-    happens in log space so the result is finite for any finite input.
-    """
-    z = as_tensor(z)
-    lnzp = log_softplus(z)
-    lnt = np.asarray(p, dtype=float)[..., None] * lnzp
-    hi = np.max(lnt, axis=-1, keepdims=True)
-    lse = hi + np.log(np.sum(np.exp(lnt - hi), axis=-1, keepdims=True))
-    ln_denom = np.logaddexp(lse, np.log(eps))
-    return np.exp(lnt - ln_denom)
-
-
-def fmean_aggregate(z, p, eps: float = EPS) -> np.ndarray:
-    """Power-weighted aggregation sum_i w_i(p) * z_i over the last axis."""
-    z = as_tensor(z)
-    return np.sum(fmean_weights(z, p, eps) * z, axis=-1)
-
-
 def _fmean_eval(z, p, eps: float = EPS):
-    """Forward for z shaped (..., n) with per-row p; returns (A, cache)."""
+    """Forward for z shaped (..., n) with per-row p; returns (A, cache).
+
+    The weights are softplus(z_i)^p / (sum_j softplus(z_j)^p + eps), with
+    powers taken as exp(p * ln softplus(z)) so any real p is valid, and the
+    normalisation done in log space so they are finite for any finite
+    input.  A weights the raw z_i, not their softplus.
+    """
     lnzp = log_softplus(z)
     lnt = p[..., None] * lnzp
     hi = np.max(lnt, axis=-1, keepdims=True)
@@ -124,6 +111,17 @@ def _fmean_eval(z, p, eps: float = EPS):
     omega = np.exp(lnt - ln_denom)
     A = np.sum(omega * z, axis=-1)
     return A, (lnzp, omega, A)
+
+
+def fmean_weights(z, p, eps: float = EPS) -> np.ndarray:
+    """Power-normalised weights over the last axis of ``z``; ``p`` is a
+    scalar or an array broadcastable to the leading shape."""
+    return _fmean_eval(as_tensor(z), np.asarray(p, dtype=float), eps)[1][1]
+
+
+def fmean_aggregate(z, p, eps: float = EPS) -> np.ndarray:
+    """Power-weighted aggregation sum_i w_i(p) * z_i over the last axis."""
+    return _fmean_eval(as_tensor(z), np.asarray(p, dtype=float), eps)[0]
 
 
 def _fmean_grads(z, p, cache, dA):
@@ -171,16 +169,18 @@ def gaussian_support_weights(aff) -> np.ndarray:
     return rows / rows.sum(axis=-1, keepdims=True)
 
 
-def _gaussian_eval(z, sigma):
-    """Forward over the last axis using row moments only: (A, cache)."""
+def _gaussian_eval(z, log_sigma):
+    """Forward over the last axis with sigma = exp(log_sigma), using row
+    moments only: (A, cache)."""
+    sigma = np.exp(log_sigma)
     r, s, q = _affinity_moments(z, sigma)
     T = r.sum(axis=-1)
     alpha = r / T[..., None]
     A = np.sum(alpha * z, axis=-1)
-    return A, (r, s, q, T, A)
+    return A, (sigma, r, s, q, T, A)
 
 
-def _gaussian_grads(z, sigma, cache, dA):
+def _gaussian_grads(z, cache, dA):
     """Exact gradients of the support-weighted reduction.
 
     Differentiating alpha = r / sum(r) through the pairwise kernel
@@ -192,7 +192,7 @@ def _gaussian_grads(z, sigma, cache, dA):
     with v = z r - s and c = z^2 r - 2 z s + q.
     Returns (dz, dlog_sigma_rows).
     """
-    r, s, q, T, A = cache
+    sigma, r, s, q, T, A = cache
     sig2 = sigma * sigma
     coef = 1.0 / (T * sig2)
     v = z * r - s
@@ -206,8 +206,20 @@ def _gaussian_grads(z, sigma, cache, dA):
 
 
 # ---------------------------------------------------------------------------
-# Layers
+# The aggregation layer
 # ---------------------------------------------------------------------------
+
+LINEAR, FMEAN, GAUSSIAN = "linear", "fmean", "gaussian"
+
+# kind -> the paths that reduce each unit's contributions; the linear path,
+# where present, comes first, because the backward starts dz from it
+KIND_PATHS = {
+    "fmean": (FMEAN,),
+    "gaussian": (GAUSSIAN,),
+    "two-way-fmean": (LINEAR, FMEAN),
+    "two-way-gaussian": (LINEAR, GAUSSIAN),
+    "three-way": (LINEAR, FMEAN, GAUSSIAN),
+}
 
 
 def _hadamard_rows(x, W):
@@ -217,174 +229,128 @@ def _hadamard_rows(x, W):
     return x[:, None, :] * W[None, :, :]
 
 
-class FMeanLayer(Layer):
-    """Power-weighted aggregation unit with per-unit learnable exponent."""
-
-    def __init__(self, in_units, out_units, rng=None, eps: float = EPS):
-        rng = rng if rng is not None else np.random.default_rng(0)
-        self.in_units = in_units
-        self.out_units = out_units
-        self.eps = eps
-        self.W = Parameter("W", kaiming_uniform(rng, (out_units, in_units), in_units))
-        self.b = Parameter("b", np.zeros(out_units))
-        self.p = Parameter("p", np.ones(out_units), tag=NOVEL)
-        self._cache = None
-
-    def params(self):
-        return [self.W, self.b, self.p]
-
-    def forward(self, x, train: bool = True):
-        x = as_tensor(x)
-        z = _hadamard_rows(x, self.W.data)
-        A, fm = _fmean_eval(z, self.p.data[None, :], self.eps)
-        if train:
-            self._cache = (x, z, fm)
-        return A + self.b.data
-
-    def backward(self, upstream):
-        x, z, fm = self._take_cache()
-        upstream = as_tensor(upstream)
-        dz, dp_rows = _fmean_grads(z, self.p.data[None, :], fm, upstream)
-        self.W.grad = np.einsum("bun,bn->un", dz, x)
-        self.b.grad = upstream.sum(axis=0)
-        self.p.grad = dp_rows.sum(axis=0)
-        return np.einsum("bun,un->bn", dz, self.W.data)
-
-
-class GaussianSupportLayer(Layer):
-    """Affinity-weighted aggregation unit with per-unit learnable width."""
-
-    def __init__(self, in_units, out_units, rng=None, eps: float = EPS):
-        rng = rng if rng is not None else np.random.default_rng(0)
-        self.in_units = in_units
-        self.out_units = out_units
-        self.eps = eps
-        self.W = Parameter("W", kaiming_uniform(rng, (out_units, in_units), in_units))
-        self.b = Parameter("b", np.zeros(out_units))
-        self.log_sigma = Parameter("log_sigma", np.zeros(out_units), tag=NOVEL)
-        self._cache = None
-
-    def params(self):
-        return [self.W, self.b, self.log_sigma]
-
-    def forward(self, x, train: bool = True):
-        x = as_tensor(x)
-        z = _hadamard_rows(x, self.W.data)
-        sigma = np.exp(self.log_sigma.data)[None, :]
-        A, gc = _gaussian_eval(z, sigma)
-        if train:
-            self._cache = (x, z, sigma, gc)
-        return A + self.b.data
-
-    def backward(self, upstream):
-        x, z, sigma, gc = self._take_cache()
-        upstream = as_tensor(upstream)
-        dz, dls_rows = _gaussian_grads(z, sigma, gc, upstream)
-        self.W.grad = np.einsum("bun,bn->un", dz, x)
-        self.b.grad = upstream.sum(axis=0)
-        self.log_sigma.grad = dls_rows.sum(axis=0)
-        return np.einsum("bun,un->bn", dz, self.W.data)
-
-
 class HybridLayer(Layer):
-    """Blend of the plain weighted sum with learnable aggregation paths.
+    """One shared weight row per unit, reduced by the paths of ``kind``.
 
-    All paths of a unit share the same weight row; the bias is added once
-    after blending.  Two-way kinds blend one learnable path against the
-    plain sum through sigmoid(alpha_raw); the three-way kind mixes plain,
-    F-Mean and Gaussian paths through a per-unit softmax over alpha_raw.
-    alpha_raw starts at exactly 0, giving each pathway equal weight.
+    A single-path kind ("fmean", "gaussian") has no blend parameter.  Two
+    paths blend the plain sum against a learnable one through
+    sigmoid(alpha_raw); three mix plain, F-Mean and Gaussian through a
+    per-unit softmax over alpha_raw.  alpha_raw starts at exactly 0, giving
+    each path equal weight.  The bias is added once after blending.
     """
 
     def __init__(self, in_units, out_units, kind: str, rng=None, eps: float = EPS):
-        if kind not in HYBRID_KINDS:
-            raise ValueError(f"unknown hybrid kind {kind!r}, expected one of {HYBRID_KINDS}")
+        if kind not in KIND_PATHS:
+            raise ValueError(f"unknown aggregation kind {kind!r}, "
+                             f"expected one of {tuple(KIND_PATHS)}")
         rng = rng if rng is not None else np.random.default_rng(0)
         self.in_units = in_units
         self.out_units = out_units
         self.kind = kind
+        self.paths = KIND_PATHS[kind]
         self.eps = eps
         self.W = Parameter("W", kaiming_uniform(rng, (out_units, in_units), in_units))
         self.b = Parameter("b", np.zeros(out_units))
-        if kind == "three-way":
-            self.alpha_raw = Parameter("alpha_raw", np.zeros((out_units, 3)), tag=NOVEL)
-        else:
-            self.alpha_raw = Parameter("alpha_raw", np.zeros(out_units), tag=NOVEL)
-        self.p = None
-        self.log_sigma = None
-        if kind in ("two-way-fmean", "three-way"):
+        self.p = self.log_sigma = self.alpha_raw = None
+        if FMEAN in self.paths:
             self.p = Parameter("p", np.ones(out_units), tag=NOVEL)
-        if kind in ("two-way-gaussian", "three-way"):
+        if GAUSSIAN in self.paths:
             self.log_sigma = Parameter("log_sigma", np.zeros(out_units), tag=NOVEL)
+        if len(self.paths) > 1:
+            shape = (out_units, 3) if len(self.paths) == 3 else (out_units,)
+            self.alpha_raw = Parameter("alpha_raw", np.zeros(shape), tag=NOVEL)
         self._cache = None
 
     def params(self):
-        out = [self.W, self.b]
-        for extra in (self.p, self.log_sigma, self.alpha_raw):
-            if extra is not None:
-                out.append(extra)
-        return out
+        return [p for p in (self.W, self.b, self.p, self.log_sigma, self.alpha_raw)
+                if p is not None]
+
+    def _blend(self):
+        """The weight of each path in path order, as (U,) vectors, or None
+        for a single path."""
+        if self.alpha_raw is None:
+            return None
+        if len(self.paths) == 2:
+            s = sigmoid(self.alpha_raw.data)
+            return (1.0 - s, s)
+        return tuple(softmax(self.alpha_raw.data, axis=-1).T)
 
     def forward(self, x, train: bool = True):
         x = as_tensor(x)
         z = _hadamard_rows(x, self.W.data)
-        a_lin = z.sum(axis=-1)
-        fm = gc = sigma = None
-        a_fm = a_g = None
-        if self.p is not None:
-            a_fm, fm = _fmean_eval(z, self.p.data[None, :], self.eps)
-        if self.log_sigma is not None:
-            sigma = np.exp(self.log_sigma.data)[None, :]
-            a_g, gc = _gaussian_eval(z, sigma)
-        if self.kind == "three-way":
-            blend = softmax(self.alpha_raw.data, axis=-1)  # (U, 3)
-            out = blend[:, 0] * a_lin + blend[:, 1] * a_fm + blend[:, 2] * a_g
+        outs, caches = [], []
+        for path in self.paths:
+            if path == LINEAR:
+                a, cache = z.sum(axis=-1), None
+            elif path == FMEAN:
+                a, cache = _fmean_eval(z, self.p.data[None, :], self.eps)
+            else:
+                a, cache = _gaussian_eval(z, self.log_sigma.data[None, :])
+            outs.append(a)
+            caches.append(cache)
+        blend = self._blend()
+        if blend is None:
+            out = outs[0]
         else:
-            blend = sigmoid(self.alpha_raw.data)  # (U,)
-            a_novel = a_fm if self.kind == "two-way-fmean" else a_g
-            out = blend * a_novel + (1.0 - blend) * a_lin
+            out = blend[0] * outs[0]
+            for w, a in zip(blend[1:], outs[1:]):
+                out = out + w * a
         if train:
-            self._cache = (x, z, fm, gc, sigma, a_lin, a_fm, a_g, blend)
+            self._cache = (x, z, blend, outs, caches)
         return out + self.b.data
 
     def backward(self, upstream):
-        x, z, fm, gc, sigma, a_lin, a_fm, a_g, blend = self._take_cache()
+        x, z, blend, outs, caches = self._take_cache()
         upstream = as_tensor(upstream)
         self.b.grad = upstream.sum(axis=0)
-
-        if self.kind == "three-way":
-            d_lin = upstream * blend[:, 0]
-            d_fm = upstream * blend[:, 1]
-            d_g = upstream * blend[:, 2]
+        if len(outs) == 2:
+            s = blend[1]
+            self.alpha_raw.grad = (upstream * (outs[1] - outs[0])).sum(axis=0) * (s * (1.0 - s))
+        elif len(outs) == 3:
             # softmax Jacobian per unit on path-output sensitivities
-            g = np.stack(
-                [
-                    (upstream * a_lin).sum(axis=0),
-                    (upstream * a_fm).sum(axis=0),
-                    (upstream * a_g).sum(axis=0),
-                ],
-                axis=-1,
-            )  # (U, 3)
-            self.alpha_raw.grad = blend * (g - (blend * g).sum(axis=-1, keepdims=True))
-        else:
-            a_novel = a_fm if self.kind == "two-way-fmean" else a_g
-            d_nov = upstream * blend
-            d_lin = upstream * (1.0 - blend)
-            d_fm = d_nov if self.kind == "two-way-fmean" else None
-            d_g = d_nov if self.kind == "two-way-gaussian" else None
-            dsig = blend * (1.0 - blend)
-            self.alpha_raw.grad = (upstream * (a_novel - a_lin)).sum(axis=0) * dsig
+            soft = np.stack(blend, axis=-1)  # (U, 3)
+            g = np.stack([(upstream * a).sum(axis=0) for a in outs], axis=-1)
+            self.alpha_raw.grad = soft * (g - (soft * g).sum(axis=-1, keepdims=True))
 
-        dz = np.empty_like(z)
-        dz[...] = d_lin[..., None]
-        if d_fm is not None:
-            dz_fm, dp_rows = _fmean_grads(z, self.p.data[None, :], fm, d_fm)
-            dz += dz_fm
-            self.p.grad = dp_rows.sum(axis=0)
-        if d_g is not None:
-            dz_g, dls_rows = _gaussian_grads(z, sigma, gc, d_g)
-            dz += dz_g
-            self.log_sigma.grad = dls_rows.sum(axis=0)
+        dz = None
+        for i, (path, cache) in enumerate(zip(self.paths, caches)):
+            d = upstream if blend is None else upstream * blend[i]
+            if path == LINEAR:
+                dz = np.empty_like(z)
+                dz[...] = d[..., None]
+                continue
+            if path == FMEAN:
+                dz_path, dp_rows = _fmean_grads(z, self.p.data[None, :], cache, d)
+                self.p.grad = dp_rows.sum(axis=0)
+            else:
+                dz_path, dls_rows = _gaussian_grads(z, cache, d)
+                self.log_sigma.grad = dls_rows.sum(axis=0)
+            if dz is None:
+                dz = dz_path
+            else:
+                dz += dz_path
 
         self.W.grad = np.einsum("bun,bn->un", dz, x)
         return np.einsum("bun,un->bn", dz, self.W.data)
+
+
+class FMeanLayer(HybridLayer):
+    """Power-weighted aggregation unit with per-unit learnable exponent."""
+
+    def __init__(self, in_units, out_units, rng=None, eps: float = EPS):
+        super().__init__(in_units, out_units, "fmean", rng, eps)
+
+    # the benchmark tracer wraps only methods in a class's own __dict__
+    forward = HybridLayer.forward
+    backward = HybridLayer.backward
+
+
+class GaussianSupportLayer(HybridLayer):
+    """Affinity-weighted aggregation unit with per-unit learnable width."""
+
+    def __init__(self, in_units, out_units, rng=None, eps: float = EPS):
+        super().__init__(in_units, out_units, "gaussian", rng, eps)
+
+    # the benchmark tracer wraps only methods in a class's own __dict__
+    forward = HybridLayer.forward
+    backward = HybridLayer.backward

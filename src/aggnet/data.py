@@ -181,7 +181,8 @@ def fetch_cifar10(data_dir, url: str = CIFAR10_URL, sha256: str | None = CIFAR10
 
     Skips the download when the batch files are already present.  Pass
     ``sha256=None`` to bypass verification (e.g. for a local mirror whose
-    archive bytes differ).
+    archive bytes differ).  Members are unpacked through tarfile's "data"
+    filter, so one that would land outside ``data_dir`` is rejected.
     """
     d = Path(data_dir)
     d.mkdir(parents=True, exist_ok=True)
@@ -196,6 +197,14 @@ def fetch_cifar10(data_dir, url: str = CIFAR10_URL, sha256: str | None = CIFAR10
         raise DataFormatError(
             f"archive checksum mismatch: got {digest}, expected {sha256}"
         )
+    if not hasattr(tarfile, "data_filter"):
+        raise DataFormatError(
+            "this Python's tarfile cannot filter archive members "
+            "(needs 3.10.12, 3.11.4 or later); refusing to unpack unfiltered"
+        )
     with tarfile.open(archive, "r:gz") as tar:
-        tar.extractall(d)
+        try:
+            tar.extractall(d, filter="data")
+        except tarfile.FilterError as exc:
+            raise DataFormatError(f"unsafe archive member: {exc}") from exc
     return d

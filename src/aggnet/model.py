@@ -5,7 +5,9 @@ hidden_dim -> hidden_dim, ReLU, and a linear classifier.  The CNN keeps a
 fixed convolutional extractor (3->64->64, pool, 64->128->128, pool giving
 128 * 8 * 8 = 8192 features on 32x32 input) in front of the same
 projection / aggregation / classifier head.  The aggregation slot holds a
-plain LinearLayer for the baseline and a HybridLayer otherwise.
+plain LinearLayer for the baseline and otherwise a HybridLayer of one of
+the three blended kinds (two-way F-Mean, two-way Gaussian, three-way); the
+single-path kinds are not offered as slot choices.
 """
 
 from __future__ import annotations

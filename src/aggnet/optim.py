@@ -3,9 +3,11 @@ and early stopping.
 
 Two learning-rate groups exist: ``standard`` for weights and biases and
 ``novel`` for the aggregation parameters (p, log_sigma, alpha_raw), which
-train ten times faster by default.  Both state machines below count the
-very first observed metric as a non-improving epoch, so a completely flat
-trace of length patience+1 triggers on exactly that epoch.
+train ten times faster by default.  One "best value, stale count"
+tracker, :class:`EarlyStopper`, drives both early stopping and the plateau
+schedule.  It counts the very first observed metric as a non-improving
+epoch, so a completely flat trace of length patience+1 triggers on
+exactly that epoch.
 """
 
 from __future__ import annotations
@@ -118,48 +120,13 @@ class Adam:
             p.data -= lr_of[id(p)] * mhat / (np.sqrt(vhat) + self.eps)
 
 
-class PlateauScheduler:
-    """Halve all group learning rates after ``patience`` epochs without
-    improvement, never below ``min_lr``.
+class EarlyStopper:
+    """Signal a stop after ``patience`` epochs without improvement and
+    remember which epoch was best.
 
     An improvement is a decrease of more than ``min_delta`` below the best
     metric seen so far.
     """
-
-    def __init__(self, groups, factor=0.5, patience=5, min_delta=1e-4, min_lr=1e-6):
-        self.groups = groups
-        self.factor = factor
-        self.patience = patience
-        self.min_delta = min_delta
-        self.min_lr = min_lr
-        self.best = None
-        self.stale = 0
-
-    def step(self, metric: float) -> bool:
-        """Feed one epoch's validation metric; True if rates were reduced."""
-        if not np.isfinite(metric):
-            raise ValueError("metric must be finite")
-        if self.best is not None and metric < self.best - self.min_delta:
-            self.best = metric
-            self.stale = 0
-            return False
-        if self.best is None:
-            self.best = metric
-        self.stale += 1
-        if self.stale > self.patience:
-            for g in self.groups:
-                # rates at or under the floor stay put (a zero rate must
-                # not be raised to min_lr)
-                if g.learning_rate > self.min_lr:
-                    g.learning_rate = max(g.learning_rate * self.factor, self.min_lr)
-            self.stale = 0
-            return True
-        return False
-
-
-class EarlyStopper:
-    """Signal a stop after ``patience`` epochs without improvement and
-    remember which epoch was best."""
 
     def __init__(self, patience=10, min_delta=1e-4):
         self.patience = patience
@@ -184,3 +151,27 @@ class EarlyStopper:
             self.best_epoch = self.epoch
         self.stale += 1
         return self.stale > self.patience
+
+
+class PlateauScheduler:
+    """Halve all group learning rates after ``patience`` epochs without
+    improvement, never below ``min_lr``; the plateau is tracked by an
+    :class:`EarlyStopper` whose stale count restarts at each reduction."""
+
+    def __init__(self, groups, factor=0.5, patience=5, min_delta=1e-4, min_lr=1e-6):
+        self.groups = groups
+        self.factor = factor
+        self.min_lr = min_lr
+        self.plateau = EarlyStopper(patience, min_delta)
+
+    def step(self, metric: float) -> bool:
+        """Feed one epoch's validation metric; True if rates were reduced."""
+        if not self.plateau.step(metric):
+            return False
+        for g in self.groups:
+            # rates at or under the floor stay put (a zero rate must not
+            # be raised to min_lr)
+            if g.learning_rate > self.min_lr:
+                g.learning_rate = max(g.learning_rate * self.factor, self.min_lr)
+        self.plateau.stale = 0
+        return True

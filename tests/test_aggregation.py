@@ -209,9 +209,12 @@ class TestFMeanLayer:
         np.testing.assert_allclose(layer.forward(x), oracle, atol=1e-10)
 
     def test_initialization(self):
-        """p starts at exactly 1 per unit."""
-        layer = FMeanLayer(5, 7)
-        np.testing.assert_array_equal(layer.p.data, np.ones(7))
+        """p starts at exactly 1 per unit; one path needs no blend."""
+        for layer in (FMeanLayer(5, 7), HybridLayer(5, 7, "fmean")):
+            np.testing.assert_array_equal(layer.p.data, np.ones(7))
+            assert layer.kind == "fmean"
+            assert [p.name for p in layer.params()] == ["W", "b", "p"]
+            assert layer.alpha_raw is None and layer.log_sigma is None
 
     def test_backward_zero_upstream(self):
         rng = np.random.default_rng(6)
@@ -372,6 +375,14 @@ class TestAffinityMoments:
 
 
 class TestGaussianSupportLayer:
+    def test_initialization(self):
+        """log sigma starts at exactly 0 per unit; one path needs no blend."""
+        for layer in (GaussianSupportLayer(5, 7), HybridLayer(5, 7, "gaussian")):
+            np.testing.assert_array_equal(layer.log_sigma.data, np.zeros(7))
+            assert layer.kind == "gaussian"
+            assert [p.name for p in layer.params()] == ["W", "b", "log_sigma"]
+            assert layer.alpha_raw is None and layer.p is None
+
     def test_outlier_case(self):
         """Contributions [0,0,10] at sigma 1 aggregate to 2.0, not 3.33."""
         layer = GaussianSupportLayer(3, 1)
@@ -518,6 +529,7 @@ class TestHybridTwoWay:
         np.testing.assert_array_equal(layer.alpha_raw.data, np.zeros(5))
         np.testing.assert_array_equal(layer.p.data, np.ones(5))
         assert layer.log_sigma is None
+        assert [p.name for p in layer.params()] == ["W", "b", "p", "alpha_raw"]
 
 
 class TestHybridThreeWay:

@@ -67,6 +67,29 @@ class TestCheckpoint:
         }
         assert {"p", "log_sigma", "alpha_raw"} <= names
 
+    def test_layer_type_strings_are_not_matched(self, tmp_path):
+        """The loader matches parameter names and shapes only, so a header
+        whose layer ``type`` strings differ (such as one written when the
+        aggregation layer had another class name) still loads."""
+        model = build_model(tiny_config())
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<Q", raw[:8])
+        header = json.loads(raw[8 : 8 + hlen].decode("utf-8"))
+        assert "HybridLayer" in {layer["type"] for layer in header["layers"]}
+        for layer in header["layers"]:
+            layer["type"] = "FMeanLayer" if layer["type"] == "HybridLayer" else "Renamed"
+        new_header = json.dumps(header).encode("utf-8")
+        path.write_bytes(struct.pack("<Q", len(new_header)) + new_header + raw[8 + hlen :])
+
+        other = build_model(tiny_config())
+        for p in other.parameters():
+            p.data = p.data + 1.0  # desync
+        load_checkpoint(other, path)
+        for a, b in zip(model.parameters(), other.parameters()):
+            np.testing.assert_array_equal(a.data, b.data)
+
     def test_shape_mismatch_rejected(self, tmp_path):
         model = build_model(tiny_config())
         path = tmp_path / "model.ckpt"

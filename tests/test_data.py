@@ -272,3 +272,35 @@ class TestFetch:
         bad.write_bytes(b"not a real archive")
         with pytest.raises(DataFormatError):
             fetch_cifar10(tmp_path, sha256="0" * 64)
+
+    @staticmethod
+    def _archive_with(dest, name: str, payload: bytes) -> str:
+        """Write dest/cifar-10-binary.tar.gz holding one member; return its sha256."""
+        import hashlib
+        import io
+        import tarfile
+
+        dest.mkdir()
+        tar_path = dest / "cifar-10-binary.tar.gz"
+        with tarfile.open(tar_path, "w:gz") as tar:
+            info = tarfile.TarInfo(name)
+            info.size = len(payload)
+            tar.addfile(info, io.BytesIO(payload))
+        return hashlib.sha256(tar_path.read_bytes()).hexdigest()
+
+    def test_member_escaping_data_dir_rejected(self, tmp_path):
+        dest = tmp_path / "dest"
+        digest = self._archive_with(dest, "../escape.bin", b"outside")
+        with pytest.raises(DataFormatError, match="unsafe archive member"):
+            fetch_cifar10(dest, sha256=digest)
+        assert [p for p in tmp_path.rglob("*") if dest not in (p, *p.parents)] == []
+
+    def test_unfilterable_tarfile_refuses_to_unpack(self, tmp_path, monkeypatch):
+        import tarfile
+
+        dest = tmp_path / "dest"
+        digest = self._archive_with(dest, "cifar-10-batches-bin/test_batch.bin", b"x")
+        monkeypatch.delattr(tarfile, "data_filter")
+        with pytest.raises(DataFormatError, match="cannot filter"):
+            fetch_cifar10(dest, sha256=digest)
+        assert not (dest / "cifar-10-batches-bin").exists()

@@ -46,8 +46,6 @@ from .ops import (
 
 EPS = 1e-8
 
-HYBRID_KINDS = ("two-way-fmean", "two-way-gaussian", "three-way")
-
 # float64 elements in the pairwise buffer of one chunk of rows (512 KB,
 # 4 rows at n=128): small enough to stay in a core's L2 cache, large
 # enough that the small shapes of gradcheck run as one chunk
@@ -265,7 +263,7 @@ class HybridLayer(Layer):
         return [p for p in (self.W, self.b, self.p, self.log_sigma, self.alpha_raw)
                 if p is not None]
 
-    def _blend(self):
+    def blend(self):
         """The weight of each path in path order, as (U,) vectors, or None
         for a single path."""
         if self.alpha_raw is None:
@@ -288,7 +286,7 @@ class HybridLayer(Layer):
                 a, cache = _gaussian_eval(z, self.log_sigma.data[None, :])
             outs.append(a)
             caches.append(cache)
-        blend = self._blend()
+        blend = self.blend()
         if blend is None:
             out = outs[0]
         else:

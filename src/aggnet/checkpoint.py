@@ -3,76 +3,120 @@
 Layout: an 8-byte little-endian header length, a UTF-8 JSON header
 describing every layer's parameters (names, shapes, dtype) plus optional
 caller metadata, then the raw little-endian float64 blobs concatenated in
-declaration order.
+declaration order.  The reader checks the header length, format, version,
+dtypes and the exact blob length before it trusts a file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
+import os
 import struct
 
 import numpy as np
 
 MAGIC_DTYPE = "<f8"
+FORMAT = "aggnet-checkpoint"
+VERSION = 1
+MAX_HEADER_BYTES = 1 << 24
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode="w", **kwargs):
+    """Write a temporary file beside ``path`` and ``os.replace`` it into
+    place; on an error it is deleted and ``path`` keeps its old bytes."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def save_checkpoint(model, path, extra: dict | None = None):
-    """Write all model parameters to ``path``."""
-    layers_meta = []
-    blobs = []
-    for li, layer in enumerate(model.layers):
-        entry = {"index": li, "type": type(layer).__name__, "params": []}
-        for p in layer.params():
-            entry["params"].append(
-                {"name": p.name, "shape": list(p.data.shape), "dtype": MAGIC_DTYPE}
-            )
-            blobs.append(np.ascontiguousarray(p.data, dtype=MAGIC_DTYPE).tobytes())
-        layers_meta.append(entry)
-    header = {"format": "aggnet-checkpoint", "version": 1, "layers": layers_meta}
+    """Write all model parameters to ``path``, replacing it atomically."""
+    layers_meta = [
+        {"index": li, "type": type(layer).__name__, "params": [
+            {"name": p.name, "shape": list(p.data.shape), "dtype": MAGIC_DTYPE}
+            for p in layer.params()
+        ]}
+        for li, layer in enumerate(model.layers)
+    ]
+    header = {"format": FORMAT, "version": VERSION, "layers": layers_meta}
     if extra:
         header["extra"] = extra
     raw = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(struct.pack("<Q", len(raw)))
         f.write(raw)
-        for b in blobs:
-            f.write(b)
+        for p in model.parameters():
+            f.write(np.ascontiguousarray(p.data, dtype=MAGIC_DTYPE))
+
+
+def _rejected(path, reason) -> ValueError:
+    return ValueError(f"checkpoint {path}: {reason}")
+
+
+def _read(path):
+    """Parse and check a checkpoint file; returns (header, blob bytes)."""
+    with open(path, "rb") as f:
+        head = f.read(8)
+        if len(head) < 8:
+            raise _rejected(path, "truncated before the header length")
+        (hlen,) = struct.unpack("<Q", head)
+        if hlen > MAX_HEADER_BYTES:
+            raise _rejected(path, f"header length {hlen} exceeds {MAX_HEADER_BYTES}")
+        try:
+            header = json.loads(f.read(hlen).decode("utf-8"))
+            if header.get("format") != FORMAT or header.get("version") != VERSION:
+                raise _rejected(path, f"format {header.get('format')!r} version "
+                                      f"{header.get('version')!r}, not {FORMAT!r} {VERSION}")
+            params = [pm for layer in header["layers"] for pm in layer["params"]]
+            if any(type(d) is not int or d < 0 for pm in params for d in pm["shape"]):
+                raise TypeError("shapes must hold non-negative integers")
+            dtypes = {pm["dtype"] for pm in params}
+        except (AttributeError, KeyError, TypeError, UnicodeDecodeError,
+                json.JSONDecodeError) as exc:
+            raise _rejected(path, f"malformed header ({exc!r})") from None
+        if dtypes - {MAGIC_DTYPE}:
+            raise _rejected(path, f"dtypes {sorted(dtypes)}, only {MAGIC_DTYPE!r} is read")
+        size = 8 * sum(math.prod(pm["shape"]) for pm in params)
+        blob = f.read(size + 1)
+    if len(blob) < size:
+        raise _rejected(path, f"truncated: {len(blob)} of {size} blob bytes")
+    if len(blob) > size:
+        raise _rejected(path, "trailing data after the blobs")
+    return header, blob
 
 
 def read_header(path) -> dict:
-    """Return just the JSON header of a checkpoint file."""
-    with open(path, "rb") as f:
-        (hlen,) = struct.unpack("<Q", f.read(8))
-        return json.loads(f.read(hlen).decode("utf-8"))
+    """Return the JSON header of a checked checkpoint file."""
+    return _read(path)[0]
 
 
 def load_checkpoint(model, path):
     """Load parameters from ``path`` into an already-built model.
 
-    Layer structure and shapes must match exactly.  Returns the header.
+    Layer structure, parameter names and shapes must match exactly; on a
+    mismatch nothing is loaded.  Returns the header.
     """
-    with open(path, "rb") as f:
-        (hlen,) = struct.unpack("<Q", f.read(8))
-        header = json.loads(f.read(hlen).decode("utf-8"))
-        layers_meta = header["layers"]
-        if len(layers_meta) != len(model.layers):
-            raise ValueError(
-                f"checkpoint has {len(layers_meta)} layers, model has {len(model.layers)}"
-            )
-        for layer, meta in zip(model.layers, layers_meta):
-            params = layer.params()
-            if len(params) != len(meta["params"]):
-                raise ValueError(f"parameter count mismatch in layer {meta['index']}")
-            for p, pm in zip(params, meta["params"]):
-                shape = tuple(pm["shape"])
-                if p.name != pm["name"] or p.data.shape != shape:
-                    raise ValueError(
-                        f"mismatch: checkpoint {pm['name']}{shape} vs model "
-                        f"{p.name}{p.data.shape}"
-                    )
-                count = int(np.prod(shape)) if shape else 1
-                buf = f.read(count * 8)
-                if len(buf) != count * 8:
-                    raise ValueError("checkpoint truncated")
-                p.data = np.frombuffer(buf, dtype=pm["dtype"]).reshape(shape).astype(np.float64)
+    header, blob = _read(path)
+    names = [[pm.get("name") for pm in meta["params"]] for meta in header["layers"]]
+    expected = [[p.name for p in layer.params()] for layer in model.layers]
+    if names != expected:
+        raise _rejected(path, f"parameters per layer {names}, model has {expected}")
+    state, offset = [], 0
+    for pm in (pm for meta in header["layers"] for pm in meta["params"]):
+        count = math.prod(pm["shape"])
+        state.append(np.frombuffer(blob, MAGIC_DTYPE, count, offset).reshape(pm["shape"]))
+        offset += 8 * count
+    try:
+        model.load_state(state)
+    except ValueError as exc:
+        raise _rejected(path, exc) from None
     return header

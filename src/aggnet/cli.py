@@ -3,7 +3,7 @@
 Verbs: ``train`` one configuration, ``eval`` a checkpoint under optional
 noise, ``sweep`` a configuration matrix, ``gradcheck`` the analytic
 gradients, and ``fetch-data`` for the CIFAR-10 binary archive.  Exits
-nonzero on a failed gradcheck or an aborted run.
+nonzero on a failed gradcheck, an aborted run or a rejected checkpoint.
 """
 
 from __future__ import annotations
@@ -45,14 +45,16 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    header = read_header(args.checkpoint)
-    cfg_dict = header.get("extra", {}).get("config")
-    if cfg_dict is None:
-        print("checkpoint carries no config echo; cannot rebuild model", file=sys.stderr)
+    try:
+        cfg_dict = read_header(args.checkpoint).get("extra", {}).get("config")
+        if cfg_dict is None:
+            raise ValueError(f"checkpoint {args.checkpoint}: no config echo to rebuild from")
+        config = ExperimentConfig(**cfg_dict)
+        model = build_model(config)
+        load_checkpoint(model, args.checkpoint)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
-    config = ExperimentConfig(**cfg_dict)
-    model = build_model(config)
-    load_checkpoint(model, args.checkpoint)
     _, _, test = load_datasets(config)
     noise = None
     if args.noise_sigma > 0:
@@ -113,7 +115,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients")
     p.add_argument("--module", default="all",
-                   choices=["all", "layers", "fmean", "gaussian", "hybrid"])
+                   choices=["all", *gradcheck.MODULES])
     p.add_argument("--cases", type=int, default=gradcheck.CASES)
     p.set_defaults(fn=_cmd_gradcheck)
 

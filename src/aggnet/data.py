@@ -59,7 +59,6 @@ class NoiseSpec:
 
     sigma_noise: float = 0.15
     seed: int = 0
-    applied_at: str = "test"
 
 
 def _parse_records(raw: bytes, path: str) -> tuple[np.ndarray, np.ndarray]:

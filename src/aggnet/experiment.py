@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as datamod
-from .checkpoint import save_checkpoint
+from .checkpoint import atomic_open, save_checkpoint
 from .layers import softmax_xent
 from .model import (
     AGGREGATION_KINDS,
@@ -30,7 +30,7 @@ from .model import (
     build_cnn,
     build_mlp,
 )
-from .ops import InvalidValueError, sigmoid, softmax
+from .ops import InvalidValueError
 from .optim import Adam, EarlyStopper, NonFiniteGradient, PlateauScheduler, build_param_groups
 
 
@@ -111,34 +111,32 @@ class RunReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def save_json(self, path):
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2))
-
     CSV_COLUMNS = [
         "epoch", "train_loss", "val_loss", "val_acc",
         "lr_standard", "lr_novel", "mean_p", "mean_sigma", "mean_alpha",
     ]
 
-    def save_csv(self, path):
-        with open(path, "w", newline="") as f:
-            w = csv.DictWriter(f, fieldnames=self.CSV_COLUMNS, extrasaction="ignore")
-            w.writeheader()
-            for row in self.epochs:
-                w.writerow({k: ("" if row.get(k) is None else row.get(k)) for k in self.CSV_COLUMNS})
+
+def _write_json(path, obj):
+    with atomic_open(path) as f:
+        f.write(json.dumps(obj, indent=2))
+
+
+def _write_csv(path, columns, rows):
+    """One CSV row per dict, ``None`` written as an empty field."""
+    with atomic_open(path, newline="") as f:
+        w = csv.DictWriter(f, fieldnames=columns)
+        w.writeheader()
+        for row in rows:
+            w.writerow({k: ("" if row.get(k) is None else row[k]) for k in columns})
 
 
 def build_model(config: ExperimentConfig) -> Model:
     """Construct and initialize the configured architecture."""
-    rng = np.random.default_rng(config.seed)
-    if config.arch == "mlp":
-        return build_mlp(
-            config.aggregation, rng, in_dim=3072, proj_dim=config.proj_dim,
-            hidden_dim=config.hidden_dim, classes=config.classes, eps=config.eps,
-        )
-    return build_cnn(
-        config.aggregation, rng, proj_dim=config.proj_dim,
-        hidden_dim=config.hidden_dim, classes=config.classes, eps=config.eps,
-    )
+    build = build_mlp if config.arch == "mlp" else build_cnn
+    return build(config.aggregation, np.random.default_rng(config.seed),
+                 proj_dim=config.proj_dim, hidden_dim=config.hidden_dim,
+                 classes=config.classes, eps=config.eps)
 
 
 def _prepare_input(images: np.ndarray, arch: str) -> np.ndarray:
@@ -160,34 +158,30 @@ def load_datasets(config: ExperimentConfig):
         )
         a = config.synthetic_train
         b = a + config.synthetic_val
-        train = datamod.Dataset(full.images[:a], full.labels[:a], split="train")
-        val = datamod.Dataset(full.images[a:b], full.labels[a:b], split="val")
-        test = datamod.Dataset(full.images[b:], full.labels[b:], split="test")
-        return train, val, test
+        return tuple(datamod.Dataset(full.images[lo:hi], full.labels[lo:hi], split=split)
+                     for split, lo, hi in (("train", 0, a), ("val", a, b), ("test", b, None)))
     raise ValueError(f"unknown data source {config.data!r}")
+
+
+def _eval_batches(model: Model, images, labels, arch: str, batch_size: int):
+    """Yield (logits, labels) per batch of an uncached forward pass."""
+    for lo in range(0, len(labels), batch_size):
+        x = _prepare_input(images[lo : lo + batch_size], arch)
+        yield model.forward(x, train=False), labels[lo : lo + batch_size]
 
 
 def evaluate(model: Model, dataset, arch: str, noise: datamod.NoiseSpec | None = None,
              batch_size: int = 256) -> float:
     """Argmax accuracy, with optional on-the-fly Gaussian corruption."""
-    images = dataset.images
-    if noise is not None:
-        images = datamod.add_noise(images, noise)
-    correct = 0
-    for lo in range(0, len(dataset), batch_size):
-        x = _prepare_input(images[lo : lo + batch_size], arch)
-        logits = model.forward(x, train=False)
-        correct += int(np.sum(np.argmax(logits, axis=1) == dataset.labels[lo : lo + batch_size]))
-    return correct / len(dataset)
+    images = dataset.images if noise is None else datamod.add_noise(dataset.images, noise)
+    batches = _eval_batches(model, images, dataset.labels, arch, batch_size)
+    return sum(int(np.sum(np.argmax(logits, axis=1) == y)) for logits, y in batches) / len(dataset)
 
 
 def validation_loss(model: Model, dataset, arch: str, batch_size: int = 256):
     """Mean cross-entropy and accuracy over a dataset (no caching)."""
     total, correct = 0.0, 0
-    for lo in range(0, len(dataset), batch_size):
-        x = _prepare_input(dataset.images[lo : lo + batch_size], arch)
-        y = dataset.labels[lo : lo + batch_size]
-        logits = model.forward(x, train=False)
+    for logits, y in _eval_batches(model, dataset.images, dataset.labels, arch, batch_size):
         loss, _ = softmax_xent(logits, y)
         total += loss * len(y)
         correct += int(np.sum(np.argmax(logits, axis=1) == y))
@@ -204,10 +198,10 @@ def robustness_score(clean_acc: float, noisy_acc: float) -> float:
 def param_summary(model: Model) -> dict:
     """Per-layer statistics of the learnable aggregation parameters.
 
-    Widths are reported as exp(log_sigma); two-way blends as
-    sigmoid(alpha_raw); the three-way blend as softmax rows, with
-    ``alpha`` giving the per-unit mass on the two novel paths.  Baseline
-    models produce an empty summary.
+    Widths are reported as exp(log_sigma) and exponents as p.  A blended
+    layer reports ``alpha``, the per-unit weight on its novel paths, and
+    the three-way blend also each path's weight.  Single-path layers have
+    no blend; baseline models produce an empty summary.
     """
     layer = aggregation_layer(model)
     if layer is None:
@@ -224,33 +218,25 @@ def param_summary(model: Model) -> dict:
         out["p"] = stats(layer.p.data)
     if layer.log_sigma is not None:
         out["sigma"] = stats(np.exp(layer.log_sigma.data))
-    if layer.kind == "three-way":
-        blend = softmax(layer.alpha_raw.data, axis=-1)
-        out["blend"] = {
-            "linear": stats(blend[:, 0]),
-            "fmean": stats(blend[:, 1]),
-            "gaussian": stats(blend[:, 2]),
-        }
-        out["alpha"] = stats(blend[:, 1] + blend[:, 2])  # novel-path mass
-    else:
-        out["alpha"] = stats(sigmoid(layer.alpha_raw.data))
+    blend = layer.blend()
+    if blend is not None:
+        if len(blend) == 3:
+            out["blend"] = {path: stats(w) for path, w in zip(layer.paths, blend)}
+        out["alpha"] = stats(sum(blend[1:]))  # novel-path mass
     return out
 
 
 def _epoch_row(epoch, train_loss, val_loss, val_acc, groups, summary) -> dict:
-    row = {
+    return {
         "epoch": epoch,
         "train_loss": train_loss,
         "val_loss": val_loss,
         "val_acc": val_acc,
         "lr_standard": groups[0].learning_rate,
         "lr_novel": groups[1].learning_rate,
-        "mean_p": summary.get("p", {}).get("mean"),
-        "mean_sigma": summary.get("sigma", {}).get("mean"),
-        "mean_alpha": summary.get("alpha", {}).get("mean"),
+        **{f"mean_{k}": summary.get(k, {}).get("mean") for k in ("p", "sigma", "alpha")},
         "param_summary": summary or None,
     }
-    return row
 
 
 def train(config: ExperimentConfig, out_dir=None, datasets=None,
@@ -274,9 +260,8 @@ def train(config: ExperimentConfig, out_dir=None, datasets=None,
     )
     stopper = EarlyStopper(patience=config.early_stop_patience,
                            min_delta=config.sched_min_delta)
-    report = RunReport(config=config.to_dict(), seed=config.seed)
+    report = RunReport(config=config.to_dict(), seed=config.seed, best_epoch=0)
     best_state = model.state()
-    best_epoch = 0
 
     for epoch in range(1, config.max_epochs + 1):
         losses = []
@@ -309,14 +294,13 @@ def train(config: ExperimentConfig, out_dir=None, datasets=None,
         stop = stopper.step(val_loss)
         if stopper.best_epoch == epoch:
             best_state = model.state()
-            best_epoch = epoch
+            report.best_epoch = epoch
         scheduler.step(val_loss)
         if stop:
             report.stopped_early = True
             break
 
     model.load_state(best_state)
-    report.best_epoch = best_epoch
     report.clean_accuracy = evaluate(model, test_ds, config.arch)
     noise = datamod.NoiseSpec(sigma_noise=config.noise_sigma, seed=config.noise_seed)
     report.noisy_accuracy = evaluate(model, test_ds, config.arch, noise=noise)
@@ -326,8 +310,8 @@ def train(config: ExperimentConfig, out_dir=None, datasets=None,
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        report.save_json(out / "report.json")
-        report.save_csv(out / "metrics.csv")
+        _write_json(out / "report.json", report.to_dict())
+        _write_csv(out / "metrics.csv", RunReport.CSV_COLUMNS, report.epochs)
         save_checkpoint(model, out / "best.ckpt", extra={"config": config.to_dict()})
     return report
 
@@ -336,6 +320,7 @@ SWEEP_COLUMNS = [
     "arch", "aggregation", "seed", "status",
     "clean_acc", "noisy_acc", "rho", "mean_p", "mean_sigma", "mean_alpha",
 ]
+_RESULT_KEYS = SWEEP_COLUMNS[4:]
 
 
 def sweep(matrix: dict, out_dir=None, log=None) -> list[dict]:
@@ -356,19 +341,16 @@ def sweep(matrix: dict, out_dir=None, log=None) -> list[dict]:
         for seed in seeds:
             for agg in aggregations:
                 row = {"arch": arch, "aggregation": agg, "seed": seed,
-                       "clean_acc": None, "noisy_acc": None, "rho": None,
-                       "mean_p": None, "mean_sigma": None, "mean_alpha": None}
+                       **dict.fromkeys(_RESULT_KEYS)}
                 run_dir = Path(out_dir) / f"{arch}-{agg}-seed{seed}" if out_dir else None
                 try:
                     cfg = ExperimentConfig(arch=arch, aggregation=agg, seed=seed, **overrides)
                     rep = train(cfg, out_dir=run_dir, log=log)
                     last = rep.epochs[-1] if rep.epochs else {}
-                    row.update(
-                        status="ok", clean_acc=rep.clean_accuracy,
-                        noisy_acc=rep.noisy_accuracy, rho=rep.rho,
-                        mean_p=last.get("mean_p"), mean_sigma=last.get("mean_sigma"),
-                        mean_alpha=last.get("mean_alpha"),
-                    )
+                    row.update(zip(_RESULT_KEYS, (
+                        rep.clean_accuracy, rep.noisy_accuracy, rep.rho,
+                        *(last.get(k) for k in _RESULT_KEYS[3:]))))
+                    row["status"] = "ok"
                 except Exception as exc:  # record and continue
                     row["status"] = f"error: {exc}"
                 rows.append(row)
@@ -377,12 +359,8 @@ def sweep(matrix: dict, out_dir=None, log=None) -> list[dict]:
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "sweep.csv", "w", newline="") as f:
-            w = csv.DictWriter(f, fieldnames=SWEEP_COLUMNS)
-            w.writeheader()
-            for row in rows:
-                w.writerow({k: ("" if row.get(k) is None else row.get(k)) for k in SWEEP_COLUMNS})
-        (out / "sweep.json").write_text(json.dumps(rows, indent=2))
+        _write_csv(out / "sweep.csv", SWEEP_COLUMNS, rows)
+        _write_json(out / "sweep.json", rows)
     return rows
 
 

@@ -10,13 +10,14 @@ zero where finite differences bottom out.
 
 from __future__ import annotations
 
+import functools
 import time
 
 import numpy as np
 
 from .aggregation import FMeanLayer, GaussianSupportLayer, HybridLayer
 from .layers import ConvLayer, LinearLayer, MaxPool2x2Layer, ReLULayer, softmax_xent
-from .model import build_mlp
+from .model import AGGREGATION_KINDS, build_mlp
 from .ops import sigmoid, softmax, softplus
 
 FD_STEP = 1e-5
@@ -61,9 +62,7 @@ def _layer_case(layer, x, rng):
     def objective():
         return float(np.sum(C * layer.forward(x, train=False)))
 
-    upstream = C
-    analytic_dx = layer.backward(upstream)
-    worst = rel_error(analytic_dx, fd_gradient(objective, x))
+    worst = rel_error(layer.backward(C), fd_gradient(objective, x))
     for p in layer.params():
         worst = max(worst, rel_error(p.grad, fd_gradient(objective, p.data)))
     return worst
@@ -152,54 +151,40 @@ def check_loss(cases: int = CASES, rng=None):
 
 
 def _random_agg_shapes(rng):
-    b = int(rng.integers(1, 4))
-    n = int(rng.integers(2, 6))
-    u = int(rng.integers(1, 5))
-    return b, n, u
+    return int(rng.integers(1, 4)), int(rng.integers(2, 6)), int(rng.integers(1, 5))
+
+
+def _check_aggregation(make_layer, cases, rng):
+    """``cases`` random instances of ``make_layer(n, u, rng=rng)``, each
+    novel parameter it has redrawn in the order alpha_raw, p, log_sigma."""
+    worst = 0.0
+    for _ in range(cases):
+        b, n, u = _random_agg_shapes(rng)
+        layer = make_layer(n, u, rng=rng)
+        for name, lo, hi in (("alpha_raw", -2, 2), ("p", -2.0, 4.0), ("log_sigma", -4.0, 3.0)):
+            param = getattr(layer, name)
+            if param is not None:
+                param.data = rng.uniform(lo, hi, size=param.data.shape)
+        x = rng.standard_normal((b, n))
+        worst = max(worst, _layer_case(layer, x, rng))
+    return worst
 
 
 def check_fmean(cases: int = CASES, rng=None):
     """F-Mean layer gradients including hard exponents (p < 0, p > 3)."""
-    rng = rng or np.random.default_rng(61)
-    worst = 0.0
-    for _ in range(cases):
-        b, n, u = _random_agg_shapes(rng)
-        layer = FMeanLayer(n, u, rng)
-        layer.p.data = rng.uniform(-2.0, 4.0, size=u)
-        x = rng.standard_normal((b, n))
-        worst = max(worst, _layer_case(layer, x, rng))
-    return worst
+    return _check_aggregation(FMeanLayer, cases, rng or np.random.default_rng(61))
 
 
 def check_gaussian(cases: int = CASES, rng=None):
     """Gaussian-support layer gradients across narrow and wide kernels."""
-    rng = rng or np.random.default_rng(71)
-    worst = 0.0
-    for _ in range(cases):
-        b, n, u = _random_agg_shapes(rng)
-        layer = GaussianSupportLayer(n, u, rng)
-        layer.log_sigma.data = rng.uniform(-4.0, 3.0, size=u)
-        x = rng.standard_normal((b, n))
-        worst = max(worst, _layer_case(layer, x, rng))
-    return worst
+    return _check_aggregation(GaussianSupportLayer, cases, rng or np.random.default_rng(71))
 
 
 def check_hybrid(cases: int = CASES, rng=None):
     """All three hybrid kinds, ``cases`` instances of each."""
     rng = rng or np.random.default_rng(81)
-    worst = 0.0
-    for kind in ("two-way-fmean", "two-way-gaussian", "three-way"):
-        for _ in range(cases):
-            b, n, u = _random_agg_shapes(rng)
-            layer = HybridLayer(n, u, kind, rng)
-            layer.alpha_raw.data = rng.uniform(-2, 2, size=layer.alpha_raw.data.shape)
-            if layer.p is not None:
-                layer.p.data = rng.uniform(-2.0, 4.0, size=u)
-            if layer.log_sigma is not None:
-                layer.log_sigma.data = rng.uniform(-4.0, 3.0, size=u)
-            x = rng.standard_normal((b, n))
-            worst = max(worst, _layer_case(layer, x, rng))
-    return worst
+    return max(_check_aggregation(functools.partial(HybridLayer, kind=kind), cases, rng)
+               for kind in ("two-way-fmean", "two-way-gaussian", "three-way"))
 
 
 def _relu_margin(model, x) -> float:
@@ -222,7 +207,7 @@ def check_full_model(rng=None):
     """
     rng_master = rng or np.random.default_rng(91)
     worst = 0.0
-    for agg in ("baseline", "fmean-hybrid", "gaussian-hybrid", "threeway-hybrid"):
+    for agg in AGGREGATION_KINDS:
         rng = np.random.default_rng(rng_master.integers(2**32))
         model = build_mlp(agg, rng, in_dim=8, proj_dim=6, hidden_dim=5, classes=3)
         labels = rng.integers(0, 3, size=2)
@@ -257,23 +242,19 @@ MODULES = {
 
 def run(module: str = "all", cases: int = CASES, tol: float = TOL, log=print) -> bool:
     """Run the requested gradcheck suites; True when everything passes."""
-    names = list(MODULES) if module == "all" else [module]
+    if module != "all" and module not in MODULES:
+        raise ValueError(f"unknown gradcheck module {module!r}")
+    checks = [(label, functools.partial(fn, cases), tol)
+              for name in (MODULES if module == "all" else [module])
+              for label, fn in MODULES[name]]
+    if module == "all":
+        checks.append(("full model (all aggregations)", check_full_model, 1e-4))
     ok = True
     t0 = time.perf_counter()
-    for name in names:
-        if name not in MODULES:
-            raise ValueError(f"unknown gradcheck module {name!r}")
-        for label, fn in MODULES[name]:
-            err = fn(cases)
-            passed = err < tol
-            ok &= passed
-            log(f"gradcheck {label:<34} max rel err {err:.3e}  "
-                f"{'PASS' if passed else 'FAIL'}")
-    if module == "all":
-        err = check_full_model()
-        passed = err < 1e-4
+    for label, check, limit in checks:
+        err = check()
+        passed = err < limit
         ok &= passed
-        log(f"gradcheck {'full model (all aggregations)':<34} max rel err {err:.3e}  "
-            f"{'PASS' if passed else 'FAIL'}")
+        log(f"gradcheck {label:<34} max rel err {err:.3e}  {'PASS' if passed else 'FAIL'}")
     log(f"gradcheck total {time.perf_counter() - t0:.1f}s")
     return ok

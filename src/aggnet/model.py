@@ -27,14 +27,13 @@ from .layers import (
     ReLULayer,
 )
 
-AGGREGATION_KINDS = ("baseline", "fmean-hybrid", "gaussian-hybrid", "threeway-hybrid")
-ARCHS = ("mlp", "cnn")
-
 _HYBRID_OF = {
     "fmean-hybrid": "two-way-fmean",
     "gaussian-hybrid": "two-way-gaussian",
     "threeway-hybrid": "three-way",
 }
+AGGREGATION_KINDS = ("baseline", *_HYBRID_OF)
+ARCHS = ("mlp", "cnn")
 
 CNN_CHANNELS = (64, 64, 128, 128)
 CNN_FLAT = 128 * 8 * 8
@@ -73,33 +72,38 @@ class Model:
         return [p.data.copy() for p in self.parameters()]
 
     def load_state(self, state: list[np.ndarray]):
+        """Copy ``state`` into the parameters; every count and shape is
+        checked before the first one is assigned."""
         params = self.parameters()
         if len(state) != len(params):
-            raise ValueError("state length mismatch")
+            raise ValueError(f"state has {len(state)} arrays, model has {len(params)} parameters")
         for p, arr in zip(params, state):
             if arr.shape != p.data.shape:
-                raise ValueError(f"shape mismatch for {p.name}")
+                raise ValueError(f"shape mismatch for {p.name}: {arr.shape}, model {p.data.shape}")
+        for p, arr in zip(params, state):
             p.data = arr.copy()
 
     def clone(self):
         return copy.deepcopy(self)
 
 
-def _agg_slot(kind: str, in_w: int, out_w: int, rng, eps: float) -> Layer:
-    if kind == "baseline":
-        return LinearLayer(in_w, out_w, rng)
-    return HybridLayer(in_w, out_w, _HYBRID_OF[kind], rng, eps=eps)
+def _head(in_w: int, aggregation: str, rng, proj_dim: int, hidden_dim: int,
+          classes: int, eps: float) -> list[Layer]:
+    """Projection, ReLU, aggregation slot, ReLU, classifier; ``rng`` is
+    drawn in that order."""
+    return [
+        LinearLayer(in_w, proj_dim, rng),
+        ReLULayer(),
+        LinearLayer(proj_dim, hidden_dim, rng) if aggregation == "baseline"
+        else HybridLayer(proj_dim, hidden_dim, _HYBRID_OF[aggregation], rng, eps=eps),
+        ReLULayer(),
+        LinearLayer(hidden_dim, classes, rng),
+    ]
 
 
 def build_mlp(aggregation: str, rng, in_dim=3072, proj_dim=128, hidden_dim=128,
               classes=10, eps=1e-8) -> Model:
-    return Model([
-        LinearLayer(in_dim, proj_dim, rng),
-        ReLULayer(),
-        _agg_slot(aggregation, proj_dim, hidden_dim, rng, eps),
-        ReLULayer(),
-        LinearLayer(hidden_dim, classes, rng),
-    ])
+    return Model(_head(in_dim, aggregation, rng, proj_dim, hidden_dim, classes, eps))
 
 
 def build_cnn(aggregation: str, rng, proj_dim=256, hidden_dim=256, classes=10,
@@ -117,17 +121,10 @@ def build_cnn(aggregation: str, rng, proj_dim=256, hidden_dim=256, classes=10,
         ReLULayer(),
         MaxPool2x2Layer(),
         FlattenLayer(),
-        LinearLayer(CNN_FLAT, proj_dim, rng),
-        ReLULayer(),
-        _agg_slot(aggregation, proj_dim, hidden_dim, rng, eps),
-        ReLULayer(),
-        LinearLayer(hidden_dim, classes, rng),
+        *_head(CNN_FLAT, aggregation, rng, proj_dim, hidden_dim, classes, eps),
     ])
 
 
 def aggregation_layer(model: Model):
     """The model's HybridLayer, or None for a baseline model."""
-    for layer in model.layers:
-        if isinstance(layer, HybridLayer):
-            return layer
-    return None
+    return next((layer for layer in model.layers if isinstance(layer, HybridLayer)), None)

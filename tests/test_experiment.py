@@ -1,10 +1,12 @@
 """Model assembly, the training protocol, metrics and the sweep."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
+from aggnet.aggregation import FMeanLayer, GaussianSupportLayer
 from aggnet.experiment import (
     ExperimentConfig,
     TrainingDiverged,
@@ -149,6 +151,28 @@ class TestTraining:
             "lr_standard", "lr_novel", "mean_p", "mean_sigma", "mean_alpha",
         ]
 
+    @pytest.mark.parametrize("name", ["report.json", "metrics.csv", "best.ckpt"])
+    def test_failed_move_keeps_earlier_run_files(self, tmp_path, monkeypatch, name):
+        """Each run file is written to a temporary file and moved into
+        place; when the move fails, the earlier file stays whole."""
+        train(tiny_config(max_epochs=1), out_dir=tmp_path)
+        files = ["best.ckpt", "metrics.csv", "report.json"]
+        old = {f: (tmp_path / f).read_bytes() for f in files}
+        real_replace = os.replace
+
+        def replace(src, dst):
+            assert os.path.getsize(src) > 0  # the temporary file was written
+            if os.path.basename(dst) == name:
+                raise OSError("move refused")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="move refused"):
+            train(tiny_config(max_epochs=1, aggregation="fmean-hybrid", seed=1),
+                  out_dir=tmp_path)
+        assert (tmp_path / name).read_bytes() == old[name]
+        assert sorted(p.name for p in tmp_path.iterdir()) == files
+
 
 class TestBaselineEquivalence:
     def test_saturated_hybrid_tracks_baseline(self):
@@ -272,6 +296,26 @@ class TestParamSummary:
     def test_baseline_summary_empty(self):
         assert param_summary(build_model(tiny_config())) == {}
 
+    def test_single_path_slots(self):
+        """Single-path layers have no blend, so no alpha is reported."""
+        model = build_model(tiny_config())
+        model.layers[2] = FMeanLayer(8, 8, np.random.default_rng(0))
+        s = param_summary(model)
+        assert s["kind"] == "fmean" and s["p"]["mean"] == 1.0
+        assert "alpha" not in s and "sigma" not in s and "blend" not in s
+        model.layers[2] = GaussianSupportLayer(8, 8, np.random.default_rng(0))
+        s = param_summary(model)
+        assert s["kind"] == "gaussian" and s["sigma"]["mean"] == 1.0
+        assert "alpha" not in s and "p" not in s
+
+    def test_train_with_single_path_slot(self):
+        cfg = tiny_config(aggregation="fmean-hybrid", max_epochs=1)
+        model = build_model(cfg)
+        model.layers[2] = FMeanLayer(8, 8, np.random.default_rng(0))
+        row = train(cfg, model=model).epochs[0]
+        assert row["mean_p"] is not None
+        assert row["mean_alpha"] is None and row["mean_sigma"] is None
+
 
 class TestReportDeterminism:
     def test_two_runs_agree_number_for_number(self):
@@ -334,6 +378,31 @@ class TestSweep:
         assert {r["arch"] for r in rows} == {"mlp", "cnn"}
         assert all(r["status"] == "ok" for r in rows)
 
+    @pytest.mark.parametrize("name", ["sweep.csv", "sweep.json"])
+    def test_failed_move_keeps_earlier_sweep_files(self, tmp_path, monkeypatch, name):
+        matrix = {
+            "archs": ["mlp"], "aggregations": ["baseline"], "seeds": [0],
+            "data": "synthetic", "proj_dim": 8, "hidden_dim": 8,
+            "batch_size": 32, "max_epochs": 1,
+            "synthetic_train": 96, "synthetic_val": 32, "synthetic_test": 32,
+        }
+        sweep(matrix, out_dir=tmp_path)
+        old = (tmp_path / name).read_bytes()
+        listing = sorted(p.name for p in tmp_path.iterdir())
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if os.path.basename(dst) == name:
+                raise OSError("move refused")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="move refused"):
+            sweep({**matrix, "seeds": [5]}, out_dir=tmp_path)
+        assert (tmp_path / name).read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            listing + ["mlp-baseline-seed5"])
+
     def test_failed_run_recorded_and_sweep_continues(self):
         matrix = {
             "archs": ["mlp"], "aggregations": ["not-a-kind", "baseline"],
@@ -359,6 +428,23 @@ class TestCLI:
                      "--noise-sigma", "0.15"]) == 0
         captured = capsys.readouterr().out
         assert "rho" in captured
+
+    def test_eval_rejected_checkpoint(self, tmp_path, capsys):
+        """A damaged checkpoint exits 2 with one line naming the file and
+        the reason, not a traceback."""
+        from aggnet.cli import main
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config(max_epochs=1).to_dict()))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        ckpt = out / "best.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes() + b"\0\0\0\0")
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert str(ckpt) in err[0] and "trailing data" in err[0]
 
     def test_gradcheck_verb(self, capsys):
         from aggnet.cli import main

@@ -241,7 +241,6 @@ class HybridLayer(Layer):
         if kind not in KIND_PATHS:
             raise ValueError(f"unknown aggregation kind {kind!r}, "
                              f"expected one of {tuple(KIND_PATHS)}")
-        rng = rng if rng is not None else np.random.default_rng(0)
         self.in_units = in_units
         self.out_units = out_units
         self.kind = kind
@@ -257,7 +256,6 @@ class HybridLayer(Layer):
         if len(self.paths) > 1:
             shape = (out_units, 3) if len(self.paths) == 3 else (out_units,)
             self.alpha_raw = Parameter("alpha_raw", np.zeros(shape), tag=NOVEL)
-        self._cache = None
 
     def params(self):
         return [p for p in (self.W, self.b, self.p, self.log_sigma, self.alpha_raw)

@@ -30,7 +30,11 @@ from .experiment import (
 
 
 def _cmd_train(args) -> int:
-    config = ExperimentConfig.from_json(args.config)
+    try:
+        config = ExperimentConfig.from_json(args.config)
+    except ValueError as exc:
+        print(f"config {args.config}: {exc}", file=sys.stderr)
+        return 2
     try:
         report = train(config, out_dir=args.out, log=print)
     except TrainingDiverged as exc:
@@ -49,7 +53,7 @@ def _cmd_eval(args) -> int:
         cfg_dict = read_header(args.checkpoint).get("extra", {}).get("config")
         if cfg_dict is None:
             raise ValueError(f"checkpoint {args.checkpoint}: no config echo to rebuild from")
-        config = ExperimentConfig(**cfg_dict)
+        config = ExperimentConfig.from_dict(cfg_dict)
         model = build_model(config)
         load_checkpoint(model, args.checkpoint)
     except ValueError as exc:
@@ -75,8 +79,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    ok = gradcheck.run(module=args.module, cases=args.cases)
-    return 0 if ok else 1
+    try:
+        return 0 if gradcheck.run(module=args.module, cases=args.cases) else 1
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 def _cmd_fetch_data(args) -> int:

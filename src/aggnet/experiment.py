@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -89,8 +89,18 @@ class ExperimentConfig:
             raise ValueError("widths must be positive")
 
     @classmethod
+    def from_dict(cls, d) -> "ExperimentConfig":
+        """Check a config read from a file or a checkpoint echo, then build it."""
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config fields: {', '.join(unknown)}")
+        return cls(**d)
+
+    @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        return cls(**json.loads(Path(path).read_text()))
+        return cls.from_dict(json.loads(Path(path).read_text()))
 
     def to_dict(self) -> dict:
         return asdict(self)

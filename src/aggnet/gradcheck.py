@@ -16,7 +16,8 @@ import time
 import numpy as np
 
 from .aggregation import FMeanLayer, GaussianSupportLayer, HybridLayer
-from .layers import ConvLayer, LinearLayer, MaxPool2x2Layer, ReLULayer, softmax_xent
+from .layers import (ConvLayer, LinearLayer, MaxPool2x2Layer, ReLULayer, pool_windows,
+                     softmax_xent)
 from .model import AGGREGATION_KINDS, build_mlp
 from .ops import sigmoid, softmax, softplus
 
@@ -68,6 +69,14 @@ def _layer_case(layer, x, rng):
     return worst
 
 
+def _check_cases(draw, cases, rng):
+    """Worst :func:`_layer_case` error over ``cases`` draws ``(layer, x) = draw(rng)``."""
+    worst = 0.0
+    for _ in range(cases):
+        worst = max(worst, _layer_case(*draw(rng), rng))
+    return worst
+
+
 def check_elementwise(cases: int = CASES, rng=None):
     """softplus, sigmoid, softmax against FD through a random reduction."""
     rng = rng or np.random.default_rng(11)
@@ -88,51 +97,38 @@ def check_elementwise(cases: int = CASES, rng=None):
 
 
 def check_linear(cases: int = CASES, rng=None):
-    rng = rng or np.random.default_rng(21)
-    worst = 0.0
-    for _ in range(cases):
-        b, i, o = rng.integers(1, 5), rng.integers(1, 6), rng.integers(1, 6)
-        layer = LinearLayer(int(i), int(o), rng)
-        x = rng.standard_normal((int(b), int(i)))
-        worst = max(worst, _layer_case(layer, x, rng))
-    return worst
+    def draw(rng):
+        b, i, o = int(rng.integers(1, 5)), int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        return LinearLayer(i, o, rng), rng.standard_normal((b, i))
+
+    return _check_cases(draw, cases, rng or np.random.default_rng(21))
 
 
 def check_conv(cases: int = CASES, rng=None):
-    rng = rng or np.random.default_rng(31)
-    worst = 0.0
-    for _ in range(cases):
-        b = int(rng.integers(1, 3))
-        cin = int(rng.integers(1, 4))
-        cout = int(rng.integers(1, 4))
+    def draw(rng):
+        b, cin, cout = (int(rng.integers(1, 3)), int(rng.integers(1, 4)),
+                        int(rng.integers(1, 4)))
         h = int(rng.integers(2, 4)) * 2
-        layer = ConvLayer(cin, cout, rng)
-        x = rng.standard_normal((b, cin, h, h))
-        worst = max(worst, _layer_case(layer, x, rng))
-    return worst
+        return ConvLayer(cin, cout, rng), rng.standard_normal((b, cin, h, h))
+
+    return _check_cases(draw, cases, rng or np.random.default_rng(31))
 
 
 def check_pool(cases: int = CASES, rng=None):
-    rng = rng or np.random.default_rng(41)
-    worst = 0.0
-    for _ in range(cases):
-        b = int(rng.integers(1, 3))
-        c = int(rng.integers(1, 4))
-        h = int(rng.integers(1, 4)) * 2
-        layer = MaxPool2x2Layer()
+    def draw(rng):
+        b, c, h = int(rng.integers(1, 3)), int(rng.integers(1, 4)), int(rng.integers(1, 4)) * 2
         x = rng.standard_normal((b, c, h, h))
         # keep the window argmax stable under the FD step
         while _pool_margin(x) < 10 * FD_STEP:
             x = rng.standard_normal((b, c, h, h))
-        worst = max(worst, _layer_case(layer, x, rng))
-    return worst
+        return MaxPool2x2Layer(), x
+
+    return _check_cases(draw, cases, rng or np.random.default_rng(41))
 
 
 def _pool_margin(x: np.ndarray) -> float:
     """Smallest gap between the top two entries of any 2x2 window."""
-    B, C, H, W = x.shape
-    win = x.reshape(B, C, H // 2, 2, W // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    win = np.sort(win.reshape(-1, 4), axis=-1)
+    win = np.sort(pool_windows(x).reshape(-1, 4), axis=-1)
     return float(np.min(win[:, 3] - win[:, 2]))
 
 
@@ -150,24 +146,19 @@ def check_loss(cases: int = CASES, rng=None):
     return worst
 
 
-def _random_agg_shapes(rng):
-    return int(rng.integers(1, 4)), int(rng.integers(2, 6)), int(rng.integers(1, 5))
-
-
 def _check_aggregation(make_layer, cases, rng):
     """``cases`` random instances of ``make_layer(n, u, rng=rng)``, each
     novel parameter it has redrawn in the order alpha_raw, p, log_sigma."""
-    worst = 0.0
-    for _ in range(cases):
-        b, n, u = _random_agg_shapes(rng)
+    def draw(rng):
+        b, n, u = int(rng.integers(1, 4)), int(rng.integers(2, 6)), int(rng.integers(1, 5))
         layer = make_layer(n, u, rng=rng)
         for name, lo, hi in (("alpha_raw", -2, 2), ("p", -2.0, 4.0), ("log_sigma", -4.0, 3.0)):
             param = getattr(layer, name)
             if param is not None:
                 param.data = rng.uniform(lo, hi, size=param.data.shape)
-        x = rng.standard_normal((b, n))
-        worst = max(worst, _layer_case(layer, x, rng))
-    return worst
+        return layer, rng.standard_normal((b, n))
+
+    return _check_cases(draw, cases, rng)
 
 
 def check_fmean(cases: int = CASES, rng=None):
@@ -244,6 +235,8 @@ def run(module: str = "all", cases: int = CASES, tol: float = TOL, log=print) ->
     """Run the requested gradcheck suites; True when everything passes."""
     if module != "all" and module not in MODULES:
         raise ValueError(f"unknown gradcheck module {module!r}")
+    if cases < 1:
+        raise ValueError(f"gradcheck needs at least 1 case, got {cases}")
     checks = [(label, functools.partial(fn, cases), tol)
               for name in (MODULES if module == "all" else [module])
               for label, fn in MODULES[name]]

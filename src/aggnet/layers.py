@@ -38,14 +38,17 @@ class Parameter:
         return f"Parameter({self.name}, shape={self.data.shape}, tag={self.tag})"
 
 
-def kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    """He-uniform draw: U(-sqrt(6/fan_in), +sqrt(6/fan_in))."""
+def kaiming_uniform(rng: np.random.Generator | None, shape, fan_in: int) -> np.ndarray:
+    """He-uniform draw: U(-sqrt(6/fan_in), +sqrt(6/fan_in)); ``rng=None`` is seed 0."""
+    rng = rng if rng is not None else np.random.default_rng(0)
     bound = np.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape)
 
 
 class Layer:
     """Base class: forward caches, backward consumes the cache once."""
+
+    _cache = None
 
     def params(self) -> list[Parameter]:
         return []
@@ -57,7 +60,7 @@ class Layer:
         raise NotImplementedError
 
     def _take_cache(self):
-        cache = getattr(self, "_cache", None)
+        cache = self._cache
         if cache is None:
             raise NoCachedForward(f"{type(self).__name__}.backward without forward")
         self._cache = None
@@ -68,12 +71,10 @@ class LinearLayer(Layer):
     """y = x W^T + b with W shaped (out_units, in_units)."""
 
     def __init__(self, in_units: int, out_units: int, rng: np.random.Generator | None = None):
-        rng = rng if rng is not None else np.random.default_rng(0)
         self.in_units = in_units
         self.out_units = out_units
         self.W = Parameter("W", kaiming_uniform(rng, (out_units, in_units), in_units))
         self.b = Parameter("b", np.zeros(out_units))
-        self._cache = None
 
     def params(self):
         return [self.W, self.b]
@@ -97,9 +98,6 @@ class LinearLayer(Layer):
 class ReLULayer(Layer):
     """max(0, x); the gradient is zero at exactly 0."""
 
-    def __init__(self):
-        self._cache = None
-
     def forward(self, x, train: bool = True):
         x = as_tensor(x)
         if train:
@@ -107,15 +105,11 @@ class ReLULayer(Layer):
         return np.maximum(x, 0.0)
 
     def backward(self, upstream):
-        x = self._take_cache()
-        return np.where(x > 0, upstream, 0.0)
+        return np.where(self._take_cache() > 0, upstream, 0.0)
 
 
 class FlattenLayer(Layer):
     """(batch, ...) -> (batch, prod(...))."""
-
-    def __init__(self):
-        self._cache = None
 
     def forward(self, x, train: bool = True):
         x = as_tensor(x)
@@ -124,25 +118,27 @@ class FlattenLayer(Layer):
         return x.reshape(x.shape[0], -1)
 
     def backward(self, upstream):
-        shape = self._take_cache()
-        return as_tensor(upstream).reshape(shape)
+        return as_tensor(upstream).reshape(self._take_cache())
+
+
+def _windows(x: np.ndarray) -> np.ndarray:
+    """Every 3x3 window of x zero-padded by 1: (B, C, H, W, 3, 3), a view."""
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    return sliding_window_view(xp, (3, 3), axis=(2, 3))
 
 
 class ConvLayer(Layer):
-    """3x3 convolution, stride 1, pad 1: spatial size is preserved."""
+    """3x3 convolution, stride 1, pad 1: spatial size is preserved.
 
-    KSIZE = 3
+    The input gradient is the same convolution of the upstream gradient,
+    with each kernel flipped in both spatial axes and its channel axes
+    swapped."""
 
     def __init__(self, in_ch: int, out_ch: int, rng: np.random.Generator | None = None):
-        rng = rng if rng is not None else np.random.default_rng(0)
         self.in_ch = in_ch
         self.out_ch = out_ch
-        fan_in = in_ch * self.KSIZE * self.KSIZE
-        self.kernels = Parameter(
-            "kernels", kaiming_uniform(rng, (out_ch, in_ch, self.KSIZE, self.KSIZE), fan_in)
-        )
+        self.kernels = Parameter("kernels", kaiming_uniform(rng, (out_ch, in_ch, 3, 3), in_ch * 9))
         self.bias = Parameter("bias", np.zeros(out_ch))
-        self._cache = None
 
     def params(self):
         return [self.kernels, self.bias]
@@ -151,28 +147,30 @@ class ConvLayer(Layer):
         x = as_tensor(x)
         if x.ndim != 4 or x.shape[1] != self.in_ch:
             raise ShapeError(f"expected (batch, {self.in_ch}, H, W), got {x.shape}")
-        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-        win = sliding_window_view(xp, (self.KSIZE, self.KSIZE), axis=(2, 3))
+        win = _windows(x)
         out = np.einsum("bchwij,ocij->bohw", win, self.kernels.data, optimize=True)
         out += self.bias.data[None, :, None, None]
         if train:
-            self._cache = (x.shape, win)
+            self._cache = win
         return out
 
     def backward(self, upstream):
-        (xshape, win) = self._take_cache()
         upstream = as_tensor(upstream)
-        B, _, H, W = xshape
-        self.kernels.grad = np.einsum("bohw,bchwij->ocij", upstream, win, optimize=True)
+        # no local holds the cached windows: the padded input is freed early
+        self.kernels.grad = np.einsum("bohw,bchwij->ocij", upstream, self._take_cache(),
+                                      optimize=True)
         self.bias.grad = upstream.sum(axis=(0, 2, 3))
-        dxp = np.zeros((B, self.in_ch, H + 2, W + 2))
-        K = self.kernels.data
-        for di in range(self.KSIZE):
-            for dj in range(self.KSIZE):
-                dxp[:, :, di : di + H, dj : dj + W] += np.einsum(
-                    "bohw,oc->bchw", upstream, K[:, :, di, dj], optimize=True
-                )
-        return dxp[:, :, 1 : H + 1, 1 : W + 1]
+        return np.einsum("bohwij,ocij->bchw", _windows(upstream),
+                         self.kernels.data[:, :, ::-1, ::-1], optimize=True)
+
+
+def pool_windows(x: np.ndarray) -> np.ndarray:
+    """(B, C, H, W) -> (B, C, H/2, W/2, 4): each 2x2 window in row-major order."""
+    B, C, H, W = x.shape
+    if H % 2 or W % 2:
+        raise ShapeError(f"spatial dims must be even, got {x.shape}")
+    win = x.reshape(B, C, H // 2, 2, W // 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    return win.reshape(B, C, H // 2, W // 2, 4)
 
 
 class MaxPool2x2Layer(Layer):
@@ -181,29 +179,21 @@ class MaxPool2x2Layer(Layer):
     Ties go to the first position in row-major window order.
     """
 
-    def __init__(self):
-        self._cache = None
-
     def forward(self, x, train: bool = True):
         x = as_tensor(x)
-        B, C, H, W = x.shape
-        if H % 2 or W % 2:
-            raise ShapeError(f"spatial dims must be even, got {x.shape}")
-        win = x.reshape(B, C, H // 2, 2, W // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        win = win.reshape(B, C, H // 2, W // 2, 4)
+        win = pool_windows(x)
         idx = np.argmax(win, axis=-1)
         if train:
-            self._cache = (x.shape, idx)
+            self._cache = idx
         return np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
 
     def backward(self, upstream):
-        (xshape, idx) = self._take_cache()
-        upstream = as_tensor(upstream)
-        B, C, H, W = xshape
-        dwin = np.zeros((B, C, H // 2, W // 2, 4))
-        np.put_along_axis(dwin, idx[..., None], upstream[..., None], axis=-1)
-        dwin = dwin.reshape(B, C, H // 2, W // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        return dwin.reshape(B, C, H, W)
+        idx = self._take_cache()
+        B, C, h, w = idx.shape
+        dwin = np.zeros((B, C, h, w, 4))
+        np.put_along_axis(dwin, idx[..., None], as_tensor(upstream)[..., None], axis=-1)
+        dwin = dwin.reshape(B, C, h, w, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+        return dwin.reshape(B, C, 2 * h, 2 * w)
 
 
 def softmax_xent(logits, labels):

@@ -452,6 +452,58 @@ class TestCLI:
         assert main(["gradcheck", "--module", "fmean", "--cases", "5"]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("cases", ["0", "-3"])
+    def test_gradcheck_without_cases_refused(self, cases, capsys):
+        """A gradcheck of no cases checks nothing, so it may not pass."""
+        from aggnet import gradcheck
+        from aggnet.cli import main
+
+        with pytest.raises(ValueError, match="at least 1 case"):
+            gradcheck.run(module="layers", cases=int(cases), log=lambda line: None)
+        assert main(["gradcheck", "--module", "layers", "--cases", cases]) == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and cases in err[0]
+
+    @pytest.mark.parametrize("text, reason", [
+        ('{"arch": "mlp", "resume_from": "old"}', "unknown config fields: resume_from"),
+        ('{"arch": "mlp",', "Expecting"),
+        ('{"arch": "rnn"}', "arch must be one of"),
+        ('["mlp"]', "must be a JSON object"),
+    ])
+    def test_train_rejected_config(self, tmp_path, capsys, text, reason):
+        """An unknown field, malformed JSON, a bad value or a non-object
+        exits 2 with one line naming the file and the reason."""
+        from aggnet.cli import main
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert str(cfg_path) in err[0] and reason in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("echo, reason", [
+        ({"resume_from": "old"}, "unknown config fields: resume_from"),
+        (None, "must be a JSON object"),
+    ])
+    def test_eval_rejected_config_echo(self, tmp_path, capsys, echo, reason):
+        """A checkpoint whose config echo holds an unknown field, or is not
+        an object, exits 2 with one line, not a traceback."""
+        from aggnet.checkpoint import save_checkpoint
+        from aggnet.cli import main
+
+        cfg = tiny_config()
+        config = {**cfg.to_dict(), **echo} if echo else list(cfg.to_dict())
+        ckpt = tmp_path / "best.ckpt"
+        save_checkpoint(build_model(cfg), ckpt, extra={"config": config})
+        assert main(["eval", "--checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and reason in err[0]
+
     def test_sweep_verb(self, tmp_path):
         from aggnet.cli import main
 

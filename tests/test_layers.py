@@ -147,20 +147,23 @@ class TestConv:
         np.testing.assert_allclose(layer.forward(x), oracle, atol=1e-12)
 
     def test_backward_finite_differences(self):
-        """Conv backward matches FD on a 1x3x6x6 input."""
+        """Conv backward matches FD on a 1x3x6x6 input, and on a 2x3x4x6
+        batch into 5 channels, where a mix-up of the flipped kernel axes
+        or of the map's height and width would show."""
         rng = np.random.default_rng(7)
-        layer = ConvLayer(3, 2, rng)
-        x = rng.standard_normal((1, 3, 6, 6))
-        C = rng.standard_normal((1, 2, 6, 6))
+        for b, cin, cout, h, w in ((1, 3, 2, 6, 6), (2, 3, 5, 4, 6)):
+            layer = ConvLayer(cin, cout, rng)
+            x = rng.standard_normal((b, cin, h, w))
+            C = rng.standard_normal((b, cout, h, w))
 
-        def f():
-            return float(np.sum(C * layer.forward(x, train=False)))
+            def f():
+                return float(np.sum(C * layer.forward(x, train=False)))
 
-        layer.forward(x)
-        dx = layer.backward(C)
-        assert rel_error(dx, fd_gradient(f, x)) < 1e-6
-        assert rel_error(layer.kernels.grad, fd_gradient(f, layer.kernels.data)) < 1e-6
-        assert rel_error(layer.bias.grad, fd_gradient(f, layer.bias.data)) < 1e-6
+            layer.forward(x)
+            dx = layer.backward(C)
+            assert rel_error(dx, fd_gradient(f, x)) < 1e-6
+            assert rel_error(layer.kernels.grad, fd_gradient(f, layer.kernels.data)) < 1e-6
+            assert rel_error(layer.bias.grad, fd_gradient(f, layer.bias.data)) < 1e-6
 
 
 class TestMaxPool:

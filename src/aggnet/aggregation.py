@@ -344,8 +344,8 @@ class FMeanLayer(HybridLayer):
 class GaussianSupportLayer(HybridLayer):
     """Affinity-weighted aggregation unit with per-unit learnable width."""
 
-    def __init__(self, in_units, out_units, rng=None, eps: float = EPS):
-        super().__init__(in_units, out_units, "gaussian", rng, eps)
+    def __init__(self, in_units, out_units, rng=None):
+        super().__init__(in_units, out_units, "gaussian", rng)
 
     # the benchmark tracer wraps only methods in a class's own __dict__
     forward = HybridLayer.forward

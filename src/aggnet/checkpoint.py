@@ -76,6 +76,8 @@ def _read(path):
             if header.get("format") != FORMAT or header.get("version") != VERSION:
                 raise _rejected(path, f"format {header.get('format')!r} version "
                                       f"{header.get('version')!r}, not {FORMAT!r} {VERSION}")
+            if not isinstance(header.get("extra", {}), dict):
+                raise TypeError("extra must be an object")
             params = [pm for layer in header["layers"] for pm in layer["params"]]
             if any(type(d) is not int or d < 0 for pm in params for d in pm["shape"]):
                 raise TypeError("shapes must hold non-negative integers")

@@ -2,16 +2,14 @@
 
 Verbs: ``train`` one configuration, ``eval`` a checkpoint under optional
 noise, ``sweep`` a configuration matrix, ``gradcheck`` the analytic
-gradients, and ``fetch-data`` for the CIFAR-10 binary archive.  Exits
-nonzero on a failed gradcheck, an aborted run or a rejected checkpoint.
+gradients, and ``fetch-data`` for CIFAR-10.  A failed gradcheck exits 1;
+failed sweep rows, an aborted run or any rejected input exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 from . import data as datamod
 from . import gradcheck
@@ -23,6 +21,7 @@ from .experiment import (
     evaluate,
     format_results_table,
     load_datasets,
+    read_json,
     robustness_score,
     sweep,
     train,
@@ -30,35 +29,20 @@ from .experiment import (
 
 
 def _cmd_train(args) -> int:
-    try:
-        config = ExperimentConfig.from_json(args.config)
-    except ValueError as exc:
-        print(f"config {args.config}: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report = train(config, out_dir=args.out, log=print)
-    except TrainingDiverged as exc:
-        print(f"run aborted: {exc}", file=sys.stderr)
-        return 2
-    print(
-        f"clean {100 * report.clean_accuracy:.2f}%  "
-        f"noisy {100 * report.noisy_accuracy:.2f}%  rho {report.rho:.3f}  "
-        f"best epoch {report.best_epoch}"
-    )
+    config = read_json(args.config, "config", ExperimentConfig.from_dict)
+    report = train(config, out_dir=args.out, log=print)
+    print(f"clean {100 * report.clean_accuracy:.2f}%  noisy {100 * report.noisy_accuracy:.2f}%  "
+          f"rho {report.rho:.3f}  best epoch {report.best_epoch}")
     return 0
 
 
 def _cmd_eval(args) -> int:
-    try:
-        cfg_dict = read_header(args.checkpoint).get("extra", {}).get("config")
-        if cfg_dict is None:
-            raise ValueError(f"checkpoint {args.checkpoint}: no config echo to rebuild from")
-        config = ExperimentConfig.from_dict(cfg_dict)
-        model = build_model(config)
-        load_checkpoint(model, args.checkpoint)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    cfg_dict = read_header(args.checkpoint).get("extra", {}).get("config")
+    if cfg_dict is None:
+        raise ValueError(f"checkpoint {args.checkpoint}: no config echo to rebuild from")
+    config = ExperimentConfig.from_dict(cfg_dict)
+    model = build_model(config)
+    load_checkpoint(model, args.checkpoint)
     _, _, test = load_datasets(config)
     noise = None
     if args.noise_sigma > 0:
@@ -72,27 +56,18 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    matrix = json.loads(Path(args.matrix).read_text())
-    rows = sweep(matrix, out_dir=args.out, log=print)
+    rows = sweep(read_json(args.matrix, "matrix"), out_dir=args.out, log=print)
     print(format_results_table(rows))
     return 0 if all(r["status"] == "ok" for r in rows) else 2
 
 
 def _cmd_gradcheck(args) -> int:
-    try:
-        return 0 if gradcheck.run(module=args.module, cases=args.cases) else 1
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    return 0 if gradcheck.run(module=args.module, cases=args.cases) else 1
 
 
 def _cmd_fetch_data(args) -> int:
     sha = None if args.skip_checksum else (args.sha256 or datamod.CIFAR10_SHA256)
-    try:
-        where = datamod.fetch_cifar10(args.dir, sha256=sha)
-    except Exception as exc:
-        print(f"fetch failed: {exc}", file=sys.stderr)
-        return 2
+    where = datamod.fetch_cifar10(args.dir, sha256=sha)
     print(f"CIFAR-10 binaries available under {where}")
     return 0
 
@@ -133,7 +108,13 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_fetch_data)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except TrainingDiverged as exc:
+        print(f"run aborted: {exc}", file=sys.stderr)
+    except (ValueError, OSError) as exc:  # rejected input: one line, no traceback
+        print(f"aggnet {args.cmd}: {exc}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -10,8 +10,12 @@ range, so the corruption statistics stay exactly Gaussian.
 from __future__ import annotations
 
 import hashlib
+import os
+import shutil
 import tarfile
+import tempfile
 import urllib.request
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -76,10 +80,7 @@ def _parse_records(raw: bytes, path: str) -> tuple[np.ndarray, np.ndarray]:
 
 def load_batch_file(path) -> tuple[np.ndarray, np.ndarray]:
     """Parse one binary batch file into ([0,1] images, labels)."""
-    p = Path(path)
-    if not p.is_file():
-        raise FileNotFoundError(p)
-    return _parse_records(p.read_bytes(), str(p))
+    return _parse_records(Path(path).read_bytes(), str(path))
 
 
 def load_cifar10(data_dir) -> tuple[Dataset, Dataset]:
@@ -181,7 +182,10 @@ def fetch_cifar10(data_dir, url: str = CIFAR10_URL, sha256: str | None = CIFAR10
     Skips the download when the batch files are already present.  Pass
     ``sha256=None`` to bypass verification (e.g. for a local mirror whose
     archive bytes differ).  Members are unpacked through tarfile's "data"
-    filter, so one that would land outside ``data_dir`` is rejected.
+    filter, so one that would land outside ``data_dir`` is rejected.  The
+    archive and the batch files appear only whole: the download lands under
+    a temporary name and the archive unpacks into a temporary directory,
+    each moved into place once complete.
     """
     d = Path(data_dir)
     d.mkdir(parents=True, exist_ok=True)
@@ -190,7 +194,12 @@ def fetch_cifar10(data_dir, url: str = CIFAR10_URL, sha256: str | None = CIFAR10
         return d
     archive = d / "cifar-10-binary.tar.gz"
     if not archive.exists():
-        urllib.request.urlretrieve(url, archive)
+        part = Path(f"{archive}.{os.getpid()}.tmp")
+        try:
+            urllib.request.urlretrieve(url, part)
+            os.replace(part, archive)
+        finally:
+            part.unlink(missing_ok=True)
     digest = hashlib.sha256(archive.read_bytes()).hexdigest()
     if sha256 is not None and digest != sha256:
         raise DataFormatError(
@@ -201,9 +210,20 @@ def fetch_cifar10(data_dir, url: str = CIFAR10_URL, sha256: str | None = CIFAR10
             "this Python's tarfile cannot filter archive members "
             "(needs 3.10.12, 3.11.4 or later); refusing to unpack unfiltered"
         )
-    with tarfile.open(archive, "r:gz") as tar:
-        try:
-            tar.extractall(d, filter="data")
-        except tarfile.FilterError as exc:
-            raise DataFormatError(f"unsafe archive member: {exc}") from exc
+    unpacked = Path(tempfile.mkdtemp(dir=d))
+    try:
+        with tarfile.open(archive, "r:gz") as tar:
+            tar.extractall(unpacked, filter="data")
+        for member in sorted(unpacked.rglob("*")):  # parents before children
+            target = d / member.relative_to(unpacked)
+            if member.is_dir():
+                target.mkdir(exist_ok=True)
+            else:
+                os.replace(member, target)
+    except tarfile.FilterError as exc:
+        raise DataFormatError(f"unsafe archive member: {exc}") from exc
+    except (tarfile.TarError, EOFError, zlib.error) as exc:
+        raise DataFormatError(f"{archive}: unreadable archive ({exc})") from exc
+    finally:
+        shutil.rmtree(unpacked, ignore_errors=True)
     return d

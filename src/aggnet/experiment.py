@@ -14,7 +14,8 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields
+import typing
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -90,17 +91,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d) -> "ExperimentConfig":
-        """Check a config read from a file or a checkpoint echo, then build it."""
+        """Check a config from a file, a checkpoint echo or a sweep row, then
+        build it.  A float field also takes an int; a bool is never a number."""
         if not isinstance(d, dict):
             raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        hints = typing.get_type_hints(cls)
+        unknown = sorted(set(d) - set(hints))
         if unknown:
             raise ValueError(f"unknown config fields: {', '.join(unknown)}")
+        for name, value in d.items():
+            types = typing.get_args(hints[name]) or (hints[name],)
+            if isinstance(value, bool) or not isinstance(value, types + (int,) * (float in types)):
+                raise ValueError(f"config field {name} must be {cls.__annotations__[name]}, "
+                                 f"got {value!r}")
         return cls(**d)
-
-    @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -125,6 +129,14 @@ class RunReport:
         "epoch", "train_loss", "val_loss", "val_acc",
         "lr_standard", "lr_novel", "mean_p", "mean_sigma", "mean_alpha",
     ]
+
+
+def read_json(path, what: str, build=lambda value: value):
+    """Parse a JSON file and ``build`` from it; a ValueError names ``what`` and the file."""
+    try:
+        return build(json.loads(Path(path).read_text()))
+    except ValueError as exc:
+        raise ValueError(f"{what} {path}: {exc}") from exc
 
 
 def _write_json(path, obj):
@@ -253,8 +265,9 @@ def train(config: ExperimentConfig, out_dir=None, datasets=None,
           model: Model | None = None, log=None) -> RunReport:
     """Run the full training protocol and return the report.
 
-    ``datasets`` and ``model`` can be injected (the sweep reuses loaded
-    data); ``out_dir`` receives report.json, metrics.csv and best.ckpt.
+    ``datasets`` and ``model`` can be injected (the benchmark builds them
+    once, outside its timed units); ``out_dir`` receives report.json,
+    metrics.csv and best.ckpt.
     """
     t0 = time.perf_counter()
     train_ds, val_ds, test_ds = datasets if datasets is not None else load_datasets(config)
@@ -336,16 +349,21 @@ _RESULT_KEYS = SWEEP_COLUMNS[4:]
 def sweep(matrix: dict, out_dir=None, log=None) -> list[dict]:
     """Train every (arch, aggregation, seed) combination in the matrix.
 
-    ``matrix`` holds optional ``archs``, ``aggregations`` and ``seeds``
-    lists plus any ExperimentConfig overrides.  A failed run is recorded
-    with its error and the sweep continues.  Returns the result rows.
+    ``matrix`` holds optional ``archs``, ``aggregations`` and ``seeds`` lists
+    and any other ExperimentConfig overrides.  A bad matrix raises ValueError
+    before any row runs; a failed run is recorded and the sweep continues.
     """
+    if not isinstance(matrix, dict):
+        raise ValueError(f"sweep matrix must be a JSON object, got {type(matrix).__name__}")
+    for axis, name in (("archs", "arch"), ("aggregations", "aggregation"), ("seeds", "seed")):
+        if name in matrix:
+            raise ValueError(f"sweep matrix sets {name}; list its values under {axis}")
+        if not isinstance(matrix.get(axis, []), list):
+            raise ValueError(f"sweep matrix {axis} must be a list, got {matrix[axis]!r}")
     archs = matrix.get("archs", list(ARCHS))
     aggregations = matrix.get("aggregations", list(AGGREGATION_KINDS))
     seeds = matrix.get("seeds", [0])
-    overrides = {
-        k: v for k, v in matrix.items() if k not in ("archs", "aggregations", "seeds")
-    }
+    overrides = {k: v for k, v in matrix.items() if k not in ("archs", "aggregations", "seeds")}
     rows = []
     for arch in archs:
         for seed in seeds:
@@ -354,7 +372,8 @@ def sweep(matrix: dict, out_dir=None, log=None) -> list[dict]:
                        **dict.fromkeys(_RESULT_KEYS)}
                 run_dir = Path(out_dir) / f"{arch}-{agg}-seed{seed}" if out_dir else None
                 try:
-                    cfg = ExperimentConfig(arch=arch, aggregation=agg, seed=seed, **overrides)
+                    cfg = ExperimentConfig.from_dict(
+                        {**overrides, "arch": arch, "aggregation": agg, "seed": seed})
                     rep = train(cfg, out_dir=run_dir, log=log)
                     last = rep.epochs[-1] if rep.epochs else {}
                     row.update(zip(_RESULT_KEYS, (

@@ -1,7 +1,7 @@
 """Sequential model container and the two experiment architectures.
 
 The MLP is projection 3072 -> proj_dim, ReLU, an aggregation slot
-hidden_dim -> hidden_dim, ReLU, and a linear classifier.  The CNN keeps a
+proj_dim -> hidden_dim, ReLU, and a linear classifier.  The CNN keeps a
 fixed convolutional extractor (3->64->64, pool, 64->128->128, pool giving
 128 * 8 * 8 = 8192 features on 32x32 input) in front of the same
 projection / aggregation / classifier head.  The aggregation slot holds a

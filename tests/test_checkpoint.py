@@ -204,6 +204,13 @@ class TestCheckpointReader:
         _write(saved, ["aggnet-checkpoint", 1], b"")
         self.assert_rejected(saved, "malformed header")
 
+    def test_extra_not_an_object(self, saved):
+        """``aggnet eval`` looks the config echo up in ``extra``."""
+        header, blob = _split(saved)
+        header["extra"] = ["config"]
+        _write(saved, header, blob)
+        self.assert_rejected(saved, "malformed header")
+
 
 class TestNoPartialLoad:
     """A desynced model is left exactly as it was when a load fails."""

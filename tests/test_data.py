@@ -1,5 +1,7 @@
 """Binary format round-trips, noise statistics, splits and batching."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -267,6 +269,38 @@ class TestFetch:
         train, test = load_cifar10(where)
         assert len(train) == 20 and len(test) == 4
 
+    @staticmethod
+    def _cifar_archive(tmp_path, dest, records: int) -> Path:
+        """Write dest/cifar-10-binary.tar.gz holding the six batch files."""
+        import tarfile
+
+        src = tmp_path / "src" / "cifar-10-batches-bin"
+        src.mkdir(parents=True)
+        for i in range(1, 6):
+            write_fake_batch(src / f"data_batch_{i}.bin", records, seed=i)
+        write_fake_batch(src / "test_batch.bin", records, seed=9)
+        dest.mkdir(exist_ok=True)
+        tar_path = dest / "cifar-10-binary.tar.gz"
+        with tarfile.open(tar_path, "w:gz") as tar:
+            tar.add(src, arcname="cifar-10-batches-bin")
+        return tar_path
+
+    def test_unpack_over_partial_batch_dir(self, tmp_path):
+        """A batch directory left without its test batch (the probe's
+        file) is completed and its stale files replaced."""
+        import hashlib
+
+        dest = tmp_path / "dest"
+        (dest / "cifar-10-batches-bin").mkdir(parents=True)
+        (dest / "cifar-10-batches-bin" / "data_batch_1.bin").write_bytes(b"stale")
+        tar_path = self._cifar_archive(tmp_path, dest, records=4)
+        digest = hashlib.sha256(tar_path.read_bytes()).hexdigest()
+
+        train, test = load_cifar10(fetch_cifar10(dest, sha256=digest))
+        assert len(train) == 20 and len(test) == 4
+        assert sorted(p.name for p in dest.iterdir()) == [
+            "cifar-10-batches-bin", "cifar-10-binary.tar.gz"]
+
     def test_checksum_mismatch_rejected(self, tmp_path):
         bad = tmp_path / "cifar-10-binary.tar.gz"
         bad.write_bytes(b"not a real archive")
@@ -294,6 +328,58 @@ class TestFetch:
         with pytest.raises(DataFormatError, match="unsafe archive member"):
             fetch_cifar10(dest, sha256=digest)
         assert [p for p in tmp_path.rglob("*") if dest not in (p, *p.parents)] == []
+
+    def test_truncated_archive_leaves_no_batch_files(self, tmp_path):
+        """An archive cut short (its digest matching, as with a mirror's or
+        ``--skip-checksum``) is refused on every call, not only the first:
+        no partial batch directory is left for the presence probe."""
+        import hashlib
+
+        dest = tmp_path / "dest"
+        tar_path = self._cifar_archive(tmp_path, dest, records=64)
+        raw = tar_path.read_bytes()
+        tar_path.write_bytes(raw[: len(raw) // 2])
+        digest = hashlib.sha256(tar_path.read_bytes()).hexdigest()
+        for _ in range(2):
+            with pytest.raises(DataFormatError, match="unreadable archive"):
+                fetch_cifar10(dest, sha256=digest)
+            assert sorted(p.name for p in dest.iterdir()) == ["cifar-10-binary.tar.gz"]
+
+    def test_corrupt_deflate_stream_refused(self, tmp_path, monkeypatch):
+        """A damaged deflate block past the first tar header surfaces as a
+        raw ``zlib.error``; it is refused the same way, leaving nothing."""
+        import tarfile
+        import zlib
+
+        dest = tmp_path / "dest"
+        digest = self._archive_with(dest, "cifar-10-batches-bin/test_batch.bin", b"x")
+
+        def extractall(self, path, **kwargs):
+            (Path(path) / "cifar-10-batches-bin").mkdir()
+            raise zlib.error("Error -3 while decompressing data: invalid code lengths set")
+
+        monkeypatch.setattr(tarfile.TarFile, "extractall", extractall)
+        with pytest.raises(DataFormatError, match="unreadable archive"):
+            fetch_cifar10(dest, sha256=digest)
+        assert sorted(p.name for p in dest.iterdir()) == ["cifar-10-binary.tar.gz"]
+
+    @pytest.mark.parametrize("cut_short", [False, True])
+    def test_failed_download_leaves_no_archive(self, tmp_path, monkeypatch, cut_short):
+        """A download that fails at once or part way leaves no archive for
+        the next call to trust."""
+        import urllib.error
+        import urllib.request
+
+        def urlretrieve(url, filename):
+            Path(filename).write_bytes(b"\x1f\x8b partial")
+            raise urllib.error.ContentTooShortError("retrieval incomplete", None)
+
+        if cut_short:
+            monkeypatch.setattr(urllib.request, "urlretrieve", urlretrieve)
+        dest = tmp_path / "dest"
+        with pytest.raises(OSError):
+            fetch_cifar10(dest, url=(tmp_path / "missing.tar.gz").as_uri(), sha256=None)
+        assert list(dest.iterdir()) == []
 
     def test_unfilterable_tarfile_refuses_to_unpack(self, tmp_path, monkeypatch):
         import tarfile

@@ -32,6 +32,33 @@ def tiny_config(**kw):
     return ExperimentConfig(**base)
 
 
+class TestConfigFromDict:
+    @pytest.mark.parametrize("kw", [
+        {},
+        {"arch": "cnn", "aggregation": "threeway-hybrid"},
+        {"aggregation": "fmean-hybrid", "lr_novel": 1, "sched_min_lr": 0},
+        {"aggregation": "gaussian-hybrid", "proj_dim": 16, "hidden_dim": 4},
+    ])
+    def test_round_trip(self, kw):
+        cfg = tiny_config(**kw)
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_int_for_float_and_null_for_optional(self):
+        """A float field takes an int; an ``int | None`` field takes null."""
+        cfg = ExperimentConfig.from_dict({"lr_novel": 1, "proj_dim": None})
+        assert cfg.lr_novel == 1 and cfg.proj_dim == 128 and cfg.hidden_dim == 128
+
+    @pytest.mark.parametrize("field, value", [
+        ("proj_dim", "8"), ("max_epochs", "2"), ("max_epochs", 2.0),
+        ("lr_novel", True), ("seed", False), ("arch", 1), ("data_dir", None),
+    ])
+    def test_wrong_type_refused(self, field, value):
+        """An int field takes only an int, a str field only a str, and a
+        bool is never a number; the message names the field and value."""
+        with pytest.raises(ValueError, match=f"config field {field} must be .*{value!r}"):
+            ExperimentConfig.from_dict({field: value})
+
+
 class TestBuildModel:
     def test_baseline_mlp_parameter_count(self):
         """Arithmetic oracle: 3072*128+128 + 128*128+128 + 128*10+10."""
@@ -414,6 +441,15 @@ class TestSweep:
         assert rows[0]["status"].startswith("error:")
         assert rows[1]["status"] == "ok"
 
+    def test_wrong_type_override_recorded_per_row(self):
+        """Each row's config goes through ``from_dict``, so a wrongly typed
+        override is one failed row per combination, naming the field."""
+        matrix = {"archs": ["mlp"], "aggregations": ["baseline", "fmean-hybrid"],
+                  "seeds": [0], "data": "synthetic", "proj_dim": "8"}
+        rows = sweep(matrix)
+        assert len(rows) == 2
+        assert all(r["status"].startswith("error: config field proj_dim") for r in rows)
+
 
 class TestCLI:
     def test_train_eval_round_trip(self, tmp_path, capsys):
@@ -503,6 +539,69 @@ class TestCLI:
         assert main(["eval", "--checkpoint", str(ckpt)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and reason in err[0]
+
+    @staticmethod
+    def _refused(argv, capsys, *names):
+        """``main(argv)`` exits 2 with one stderr line naming each of names."""
+        from aggnet.cli import main
+
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and "Traceback" not in err
+        for name in names:
+            assert name in lines[0]
+
+    @pytest.mark.parametrize("override, names", [
+        (None, ["cfg.json", "No such file"]),
+        ({"proj_dim": "8"}, ["cfg.json", "proj_dim", "'8'"]),
+        ({"max_epochs": "2"}, ["cfg.json", "max_epochs", "'2'"]),
+        ({"lr_novel": True}, ["cfg.json", "lr_novel", "True"]),
+        ({"data": "cifar10", "data_dir": "empty"}, ["data_batch_1.bin", "No such file"]),
+    ])
+    def test_train_refused_input(self, tmp_path, capsys, monkeypatch, override, names):
+        """A missing config file, a wrongly typed field, and a CIFAR-10
+        config without its batch files each exit 2 with one line."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "empty").mkdir()
+        if override is not None:
+            (tmp_path / "cfg.json").write_text(
+                json.dumps({**tiny_config(max_epochs=1).to_dict(), **override}))
+        self._refused(["train", "--config", "cfg.json", "--out", "run"], capsys, *names)
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_train_diverged_run_aborted(self, tmp_path, capsys):
+        """A step that overflows the weights aborts the run with one line
+        naming the epoch and batch, and writes no run files."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {**tiny_config(max_epochs=1, batch_size=16).to_dict(), "lr_standard": 1e300}))
+        out = tmp_path / "run"
+        self._refused(["train", "--config", str(cfg_path), "--out", str(out)], capsys,
+                      "run aborted:", "at epoch 1, batch 1")
+        assert not out.exists()
+
+    def test_eval_missing_checkpoint(self, tmp_path, capsys):
+        ckpt = tmp_path / "best.ckpt"
+        self._refused(["eval", "--checkpoint", str(ckpt)], capsys, str(ckpt), "No such file")
+
+    @pytest.mark.parametrize("text, names", [
+        (None, ["matrix.json", "No such file"]),
+        ('{"archs": ["mlp"],', ["matrix.json", "Expecting"]),
+        ('["mlp"]', ["matrix", "JSON object", "list"]),
+        ('{"seeds": 3}', ["seeds", "must be a list", "3"]),
+        ('{"arch": "cnn"}', ["arch", "archs"]),
+    ])
+    def test_sweep_refused_matrix(self, tmp_path, capsys, text, names):
+        """A missing, malformed or non-object matrix, a non-list axis, or a
+        field the axes set exits 2 with one line before any row runs."""
+        mpath = tmp_path / "matrix.json"
+        if text is not None:
+            mpath.write_text(text)
+        out = tmp_path / "s"
+        self._refused(["sweep", "--matrix", str(mpath), "--out", str(out)], capsys, *names)
+        assert not out.exists()
 
     def test_sweep_verb(self, tmp_path):
         from aggnet.cli import main

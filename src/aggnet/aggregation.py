@@ -13,9 +13,10 @@ reduces them along one or more paths:
   is learnable per unit, stored as log sigma.
 
 One layer class, :class:`HybridLayer`, covers the five kinds of
-``KIND_PATHS``: one learnable path alone, or the linear path blended with
-one or both learnable paths.  ``FMeanLayer`` and ``GaussianSupportLayer``
-name the two single-path kinds.
+``KIND_PATHS``: one learnable path alone ("fmean", "gaussian"), or the
+linear path blended with one or both ("fmean-hybrid", "gaussian-hybrid",
+"threeway-hybrid"), the model's aggregation-slot choices.  Its ``NOVEL``
+tag marks the parameters that train at the novel learning rate.
 
 Every forward is evaluated in log space where needed so outputs stay
 finite for extreme inputs, and every backward is exact (finite-difference
@@ -111,15 +112,15 @@ def _fmean_eval(z, p, eps: float = EPS):
     return A, (lnzp, omega, A)
 
 
-def fmean_weights(z, p, eps: float = EPS) -> np.ndarray:
+def fmean_weights(z, p) -> np.ndarray:
     """Power-normalised weights over the last axis of ``z``; ``p`` is a
     scalar or an array broadcastable to the leading shape."""
-    return _fmean_eval(as_tensor(z), np.asarray(p, dtype=float), eps)[1][1]
+    return _fmean_eval(as_tensor(z), np.asarray(p, dtype=float))[1][1]
 
 
-def fmean_aggregate(z, p, eps: float = EPS) -> np.ndarray:
+def fmean_aggregate(z, p) -> np.ndarray:
     """Power-weighted aggregation sum_i w_i(p) * z_i over the last axis."""
-    return _fmean_eval(as_tensor(z), np.asarray(p, dtype=float), eps)[0]
+    return _fmean_eval(as_tensor(z), np.asarray(p, dtype=float))[0]
 
 
 def _fmean_grads(z, p, cache, dA):
@@ -214,9 +215,9 @@ LINEAR, FMEAN, GAUSSIAN = "linear", "fmean", "gaussian"
 KIND_PATHS = {
     "fmean": (FMEAN,),
     "gaussian": (GAUSSIAN,),
-    "two-way-fmean": (LINEAR, FMEAN),
-    "two-way-gaussian": (LINEAR, GAUSSIAN),
-    "three-way": (LINEAR, FMEAN, GAUSSIAN),
+    "fmean-hybrid": (LINEAR, FMEAN),
+    "gaussian-hybrid": (LINEAR, GAUSSIAN),
+    "threeway-hybrid": (LINEAR, FMEAN, GAUSSIAN),
 }
 
 
@@ -333,8 +334,8 @@ class HybridLayer(Layer):
 class FMeanLayer(HybridLayer):
     """Power-weighted aggregation unit with per-unit learnable exponent."""
 
-    def __init__(self, in_units, out_units, rng=None, eps: float = EPS):
-        super().__init__(in_units, out_units, "fmean", rng, eps)
+    def __init__(self, in_units, out_units, rng=None):
+        super().__init__(in_units, out_units, "fmean", rng)
 
     # the benchmark tracer wraps only methods in a class's own __dict__
     forward = HybridLayer.forward

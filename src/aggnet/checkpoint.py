@@ -62,43 +62,46 @@ def _rejected(path, reason) -> ValueError:
     return ValueError(f"checkpoint {path}: {reason}")
 
 
-def _read(path):
-    """Parse and check a checkpoint file; returns (header, blob bytes)."""
-    with open(path, "rb") as f:
-        head = f.read(8)
-        if len(head) < 8:
-            raise _rejected(path, "truncated before the header length")
-        (hlen,) = struct.unpack("<Q", head)
-        if hlen > MAX_HEADER_BYTES:
-            raise _rejected(path, f"header length {hlen} exceeds {MAX_HEADER_BYTES}")
-        try:
-            header = json.loads(f.read(hlen).decode("utf-8"))
-            if header.get("format") != FORMAT or header.get("version") != VERSION:
-                raise _rejected(path, f"format {header.get('format')!r} version "
-                                      f"{header.get('version')!r}, not {FORMAT!r} {VERSION}")
-            if not isinstance(header.get("extra", {}), dict):
-                raise TypeError("extra must be an object")
-            params = [pm for layer in header["layers"] for pm in layer["params"]]
-            if any(type(d) is not int or d < 0 for pm in params for d in pm["shape"]):
-                raise TypeError("shapes must hold non-negative integers")
-            dtypes = {pm["dtype"] for pm in params}
-        except (AttributeError, KeyError, TypeError, UnicodeDecodeError,
-                json.JSONDecodeError) as exc:
-            raise _rejected(path, f"malformed header ({exc!r})") from None
-        if dtypes - {MAGIC_DTYPE}:
-            raise _rejected(path, f"dtypes {sorted(dtypes)}, only {MAGIC_DTYPE!r} is read")
-        size = 8 * sum(math.prod(pm["shape"]) for pm in params)
-        blob = f.read(size + 1)
-    if len(blob) < size:
-        raise _rejected(path, f"truncated: {len(blob)} of {size} blob bytes")
-    if len(blob) > size:
+def _read_header(f, path):
+    """Parse and check the header of the open checkpoint ``f`` and the
+    blob length against the file size, leaving ``f`` at the first blob;
+    returns (header, blob byte count)."""
+    head = f.read(8)
+    if len(head) < 8:
+        raise _rejected(path, "truncated before the header length")
+    (hlen,) = struct.unpack("<Q", head)
+    if hlen > MAX_HEADER_BYTES:
+        raise _rejected(path, f"header length {hlen} exceeds {MAX_HEADER_BYTES}")
+    try:
+        header = json.loads(f.read(hlen).decode("utf-8"))
+        if header.get("format") != FORMAT or header.get("version") != VERSION:
+            raise _rejected(path, f"format {header.get('format')!r} version "
+                                  f"{header.get('version')!r}, not {FORMAT!r} {VERSION}")
+        if not isinstance(header.get("extra", {}), dict):
+            raise TypeError("extra must be an object")
+        params = [pm for layer in header["layers"] for pm in layer["params"]]
+        if any(type(d) is not int or d < 0 for pm in params for d in pm["shape"]):
+            raise TypeError("shapes must hold non-negative integers")
+        dtypes = {pm["dtype"] for pm in params}
+    except (AttributeError, KeyError, TypeError, UnicodeDecodeError,
+            json.JSONDecodeError) as exc:
+        raise _rejected(path, f"malformed header ({exc!r})") from None
+    if dtypes - {MAGIC_DTYPE}:
+        raise _rejected(path, f"dtypes {sorted(dtypes)}, only {MAGIC_DTYPE!r} is read")
+    size = 8 * sum(math.prod(pm["shape"]) for pm in params)
+    present = os.fstat(f.fileno()).st_size - f.tell()
+    if present < size:
+        raise _rejected(path, f"truncated: {present} of {size} blob bytes")
+    if present > size:
         raise _rejected(path, "trailing data after the blobs")
-    return header, blob
+    return header, size
 
 
 def read_header(path) -> dict:
-    """Return the JSON header of a checked checkpoint file."""
-    return _read(path)[0]
+    """Return the JSON header of a checked checkpoint file; the blobs are
+    measured, not read."""
+    with open(path, "rb") as f:
+        return _read_header(f, path)[0]
 
 
 def load_checkpoint(model, path):
@@ -107,7 +110,9 @@ def load_checkpoint(model, path):
     Layer structure, parameter names and shapes must match exactly; on a
     mismatch nothing is loaded.  Returns the header.
     """
-    header, blob = _read(path)
+    with open(path, "rb") as f:
+        header, size = _read_header(f, path)
+        blob = f.read(size)
     names = [[pm.get("name") for pm in meta["params"]] for meta in header["layers"]]
     expected = [[p.name for p in layer.params()] for layer in model.layers]
     if names != expected:

@@ -22,6 +22,7 @@ from .experiment import (
     format_results_table,
     load_datasets,
     read_json,
+    rho_text,
     robustness_score,
     sweep,
     train,
@@ -32,7 +33,7 @@ def _cmd_train(args) -> int:
     config = read_json(args.config, "config", ExperimentConfig.from_dict)
     report = train(config, out_dir=args.out, log=print)
     print(f"clean {100 * report.clean_accuracy:.2f}%  noisy {100 * report.noisy_accuracy:.2f}%  "
-          f"rho {report.rho:.3f}  best epoch {report.best_epoch}")
+          f"rho {rho_text(report.rho)}  best epoch {report.best_epoch}")
     return 0
 
 
@@ -51,7 +52,8 @@ def _cmd_eval(args) -> int:
     print(f"accuracy {100 * acc:.2f}%  (noise sigma {args.noise_sigma})")
     if args.noise_sigma > 0:
         clean = evaluate(model, test, config.arch)
-        print(f"clean {100 * clean:.2f}%  rho {robustness_score(clean, acc):.3f}")
+        rho = robustness_score(clean, acc) if clean > 0 else None
+        print(f"clean {100 * clean:.2f}%  rho {rho_text(rho)}")
     return 0
 
 

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as datamod
+from .aggregation import EPS
 from .checkpoint import atomic_open, save_checkpoint
 from .layers import softmax_xent
 from .model import (
@@ -65,7 +66,7 @@ class ExperimentConfig:
     sched_min_delta: float = 1e-4
     sched_min_lr: float = 1e-6
     early_stop_patience: int = 10
-    eps: float = 1e-8
+    eps: float = EPS
     noise_sigma: float = 0.15
     noise_seed: int = 1234
     val_size: int = 5000
@@ -88,6 +89,9 @@ class ExperimentConfig:
             self.hidden_dim = self.proj_dim
         if self.proj_dim <= 0 or self.hidden_dim <= 0:
             raise ValueError("widths must be positive")
+        for name in ("noise_sigma", "noise_seed"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)!r}")
 
     @classmethod
     def from_dict(cls, d) -> "ExperimentConfig":
@@ -222,7 +226,7 @@ def param_summary(model: Model) -> dict:
 
     Widths are reported as exp(log_sigma) and exponents as p.  A blended
     layer reports ``alpha``, the per-unit weight on its novel paths, and
-    the three-way blend also each path's weight.  Single-path layers have
+    a blend of three paths also each path's weight.  Single-path layers have
     no blend; baseline models produce an empty summary.
     """
     layer = aggregation_layer(model)
@@ -274,8 +278,6 @@ def train(config: ExperimentConfig, out_dir=None, datasets=None,
     if model is None:
         model = build_model(config)
     groups = build_param_groups(model.parameters(), config.lr_standard, config.lr_novel)
-    if config.aggregation == "baseline" and groups[1].params:
-        raise ValueError("baseline model must have no novel parameters")
     optimizer = Adam(groups)
     scheduler = PlateauScheduler(
         groups, factor=config.sched_factor, patience=config.sched_patience,
@@ -288,25 +290,28 @@ def train(config: ExperimentConfig, out_dir=None, datasets=None,
 
     for epoch in range(1, config.max_epochs + 1):
         losses = []
-        for bi, (xb, yb) in enumerate(
-            datamod.batches(train_ds, config.batch_size, shuffle_seed=config.seed + epoch)
-        ):
-            x = _prepare_input(xb, config.arch)
-            try:
-                logits = model.forward(x, train=True)
+        try:
+            for bi, (xb, yb) in enumerate(
+                datamod.batches(train_ds, config.batch_size, shuffle_seed=config.seed + epoch)
+            ):
+                logits = model.forward(_prepare_input(xb, config.arch), train=True)
                 loss, dlogits = softmax_xent(logits, yb)
                 if not np.isfinite(loss):
                     raise InvalidValueError("non-finite loss")
                 model.zero_grad()
                 model.backward(dlogits)
                 optimizer.step(clip_norm=config.clip_norm)
-            except (InvalidValueError, NonFiniteGradient) as exc:
-                raise TrainingDiverged(
-                    f"{exc} at epoch {epoch}, batch {bi} (seed {config.seed})",
-                    seed=config.seed, epoch=epoch, batch_index=bi,
-                ) from exc
-            losses.append(loss)
-        val_loss, val_acc = validation_loss(model, val_ds, config.arch)
+                losses.append(loss)
+            bi = None  # past the last batch: what fails now fails in validation
+            val_loss, val_acc = validation_loss(model, val_ds, config.arch)
+            if not np.isfinite(val_loss):
+                raise InvalidValueError("non-finite validation loss")
+        except (InvalidValueError, NonFiniteGradient) as exc:
+            where = "in validation" if bi is None else f"batch {bi}"
+            raise TrainingDiverged(
+                f"{exc} at epoch {epoch}, {where} (seed {config.seed})",
+                seed=config.seed, epoch=epoch, batch_index=bi,
+            ) from exc
         summary = param_summary(model)
         report.epochs.append(
             _epoch_row(epoch, float(np.mean(losses)), val_loss, val_acc, groups, summary)
@@ -327,7 +332,8 @@ def train(config: ExperimentConfig, out_dir=None, datasets=None,
     report.clean_accuracy = evaluate(model, test_ds, config.arch)
     noise = datamod.NoiseSpec(sigma_noise=config.noise_sigma, seed=config.noise_seed)
     report.noisy_accuracy = evaluate(model, test_ds, config.arch, noise=noise)
-    report.rho = robustness_score(report.clean_accuracy, report.noisy_accuracy)
+    if report.clean_accuracy > 0:  # otherwise rho is undefined and stays None
+        report.rho = robustness_score(report.clean_accuracy, report.noisy_accuracy)
     report.wall_clock_sec = time.perf_counter() - t0
 
     if out_dir is not None:
@@ -403,6 +409,11 @@ def format_results_table(rows: list[dict]) -> str:
         else:
             lines.append(
                 f"{name:<28}{100 * r['clean_acc']:>9.2f}{100 * r['noisy_acc']:>9.2f}"
-                f"{r['rho']:>8.3f}"
+                f"{rho_text(r['rho']):>8}"
             )
     return "\n".join(lines)
+
+
+def rho_text(rho) -> str:
+    """``rho`` to three places, or ``--`` where it is undefined."""
+    return "--" if rho is None else f"{rho:.3f}"

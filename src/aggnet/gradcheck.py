@@ -175,7 +175,7 @@ def check_hybrid(cases: int = CASES, rng=None):
     """All three hybrid kinds, ``cases`` instances of each."""
     rng = rng or np.random.default_rng(81)
     return max(_check_aggregation(functools.partial(HybridLayer, kind=kind), cases, rng)
-               for kind in ("two-way-fmean", "two-way-gaussian", "three-way"))
+               for kind in AGGREGATION_KINDS[1:])
 
 
 def _relu_margin(model, x) -> float:

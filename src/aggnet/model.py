@@ -6,8 +6,8 @@ fixed convolutional extractor (3->64->64, pool, 64->128->128, pool giving
 128 * 8 * 8 = 8192 features on 32x32 input) in front of the same
 projection / aggregation / classifier head.  The aggregation slot holds a
 plain LinearLayer for the baseline and otherwise a HybridLayer of one of
-the three blended kinds (two-way F-Mean, two-way Gaussian, three-way); the
-single-path kinds are not offered as slot choices.
+the kinds that blend in the linear path (fmean-hybrid, gaussian-hybrid,
+threeway-hybrid); the single-path kinds are not offered as slot choices.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import copy
 
 import numpy as np
 
-from .aggregation import HybridLayer
+from .aggregation import EPS, KIND_PATHS, LINEAR, HybridLayer
 from .layers import (
     ConvLayer,
     FlattenLayer,
@@ -27,12 +27,7 @@ from .layers import (
     ReLULayer,
 )
 
-_HYBRID_OF = {
-    "fmean-hybrid": "two-way-fmean",
-    "gaussian-hybrid": "two-way-gaussian",
-    "threeway-hybrid": "three-way",
-}
-AGGREGATION_KINDS = ("baseline", *_HYBRID_OF)
+AGGREGATION_KINDS = ("baseline", *(k for k, paths in KIND_PATHS.items() if LINEAR in paths))
 ARCHS = ("mlp", "cnn")
 
 CNN_CHANNELS = (64, 64, 128, 128)
@@ -95,19 +90,19 @@ def _head(in_w: int, aggregation: str, rng, proj_dim: int, hidden_dim: int,
         LinearLayer(in_w, proj_dim, rng),
         ReLULayer(),
         LinearLayer(proj_dim, hidden_dim, rng) if aggregation == "baseline"
-        else HybridLayer(proj_dim, hidden_dim, _HYBRID_OF[aggregation], rng, eps=eps),
+        else HybridLayer(proj_dim, hidden_dim, aggregation, rng, eps=eps),
         ReLULayer(),
         LinearLayer(hidden_dim, classes, rng),
     ]
 
 
 def build_mlp(aggregation: str, rng, in_dim=3072, proj_dim=128, hidden_dim=128,
-              classes=10, eps=1e-8) -> Model:
+              classes=10, eps=EPS) -> Model:
     return Model(_head(in_dim, aggregation, rng, proj_dim, hidden_dim, classes, eps))
 
 
 def build_cnn(aggregation: str, rng, proj_dim=256, hidden_dim=256, classes=10,
-              eps=1e-8) -> Model:
+              eps=EPS) -> Model:
     c1, c2, c3, c4 = CNN_CHANNELS
     return Model([
         ConvLayer(3, c1, rng),

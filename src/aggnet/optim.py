@@ -2,7 +2,7 @@
 and early stopping.
 
 Two learning-rate groups exist: ``standard`` for weights and biases and
-``novel`` for the aggregation parameters (p, log_sigma, alpha_raw), which
+``novel`` for the parameters the aggregation layers tag ``NOVEL``, which
 train ten times faster by default.  One "best value, stale count"
 tracker, :class:`EarlyStopper`, drives both early stopping and the plateau
 schedule.  It counts the very first observed metric as a non-improving
@@ -54,8 +54,7 @@ def build_param_groups(params: list[Parameter], lr_standard: float, lr_novel: fl
     """Partition parameters by tag into the two learning-rate groups.
 
     Membership is checked to be exhaustive and disjoint: every parameter
-    carries exactly one of the two known tags, and novel membership is
-    exactly the {p, log_sigma, alpha_raw} name set.
+    appears once and carries one of the two known tags.
     """
     seen = set()
     for p in params:
@@ -64,8 +63,6 @@ def build_param_groups(params: list[Parameter], lr_standard: float, lr_novel: fl
         seen.add(id(p))
         if p.tag not in (STANDARD, NOVEL):
             raise ValueError(f"unknown parameter tag {p.tag!r} on {p.name}")
-        if (p.tag == NOVEL) != (p.name in ("p", "log_sigma", "alpha_raw")):
-            raise ValueError(f"tag {p.tag!r} inconsistent with name {p.name!r}")
     standard = [p for p in params if p.tag == STANDARD]
     novel = [p for p in params if p.tag == NOVEL]
     return [

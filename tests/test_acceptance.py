@@ -71,7 +71,7 @@ class TestC2AnalyticLimits:
             ok &= bool(np.all(np.abs(w - 1.0 / len(z)) < 1e-5))
 
         # alpha_raw = -40: hybrid output equals the plain linear output
-        for kind in ("two-way-fmean", "two-way-gaussian"):
+        for kind in ("fmean-hybrid", "gaussian-hybrid"):
             layer = HybridLayer(6, 4, kind, np.random.default_rng(1))
             layer.alpha_raw.data[:] = -40.0
             x = rng.standard_normal((3, 6))
@@ -81,7 +81,7 @@ class TestC2AnalyticLimits:
             ok &= bool(np.max(np.abs(layer.forward(x) - lin.forward(x))) < 1e-12)
 
         # fresh initialization: blend exactly 0.5, p exactly 1
-        fresh = HybridLayer(5, 3, "two-way-fmean")
+        fresh = HybridLayer(5, 3, "fmean-hybrid")
         from aggnet.ops import sigmoid
 
         ok &= bool(np.all(sigmoid(fresh.alpha_raw.data) == 0.5))
@@ -111,7 +111,7 @@ class TestC4RhoArithmetic:
 
 class TestC5TrainingSmoke:
     def test_threeway_mlp_on_synthetic_blobs(self):
-        """Three-way hybrid MLP on 2,000 blob samples: > 80% validation
+        """threeway-hybrid MLP on 2,000 blob samples: > 80% validation
         accuracy within 10 epochs and under 3 minutes, with the mean
         exponent demonstrably moving off its initialization."""
         t0 = time.perf_counter()

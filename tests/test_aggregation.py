@@ -477,7 +477,7 @@ def _linear_path(layer, x):
 class TestHybridTwoWay:
     def test_fresh_blend_is_exact_midpoint(self):
         rng = np.random.default_rng(21)
-        layer = HybridLayer(4, 3, "two-way-fmean", rng)
+        layer = HybridLayer(4, 3, "fmean-hybrid", rng)
         x = rng.standard_normal((2, 4))
         out = layer.forward(x)
         z = x[:, None, :] * layer.W.data[None, :, :]
@@ -488,7 +488,7 @@ class TestHybridTwoWay:
     def test_saturated_negative_recovers_linear(self):
         """alpha_raw = -40 reproduces x W^T + b to 1e-12."""
         rng = np.random.default_rng(22)
-        for kind in ("two-way-fmean", "two-way-gaussian"):
+        for kind in ("fmean-hybrid", "gaussian-hybrid"):
             layer = HybridLayer(5, 4, kind, rng)
             layer.alpha_raw.data = np.full(4, -40.0)
             layer.b.data = rng.standard_normal(4)
@@ -500,7 +500,7 @@ class TestHybridTwoWay:
     def test_saturated_positive_recovers_novel_path(self):
         """alpha_raw = +40 gives pure novel aggregation plus bias."""
         rng = np.random.default_rng(23)
-        layer = HybridLayer(4, 2, "two-way-fmean", rng)
+        layer = HybridLayer(4, 2, "fmean-hybrid", rng)
         layer.alpha_raw.data = np.full(2, 40.0)
         layer.b.data = rng.standard_normal(2)
         x = rng.standard_normal((2, 4))
@@ -511,7 +511,7 @@ class TestHybridTwoWay:
     def test_output_affine_in_blend(self):
         """out lies exactly on the segment between the two path outputs."""
         rng = np.random.default_rng(24)
-        layer = HybridLayer(4, 3, "two-way-gaussian", rng)
+        layer = HybridLayer(4, 3, "gaussian-hybrid", rng)
         x = rng.standard_normal((2, 4))
         z = x[:, None, :] * layer.W.data[None, :, :]
         sigma = np.exp(layer.log_sigma.data)[None, :]
@@ -525,7 +525,7 @@ class TestHybridTwoWay:
             np.testing.assert_allclose(layer.forward(x), expected, atol=1e-12)
 
     def test_initialization(self):
-        layer = HybridLayer(3, 5, "two-way-fmean")
+        layer = HybridLayer(3, 5, "fmean-hybrid")
         np.testing.assert_array_equal(layer.alpha_raw.data, np.zeros(5))
         np.testing.assert_array_equal(layer.p.data, np.ones(5))
         assert layer.log_sigma is None
@@ -535,7 +535,7 @@ class TestHybridTwoWay:
 class TestHybridThreeWay:
     def test_fresh_blend_is_equal_thirds(self):
         rng = np.random.default_rng(25)
-        layer = HybridLayer(4, 2, "three-way", rng)
+        layer = HybridLayer(4, 2, "threeway-hybrid", rng)
         x = rng.standard_normal((2, 4))
         out = layer.forward(x)
         z = x[:, None, :] * layer.W.data[None, :, :]
@@ -547,7 +547,7 @@ class TestHybridThreeWay:
         np.testing.assert_allclose(out, (a_lin + a_fm + a_g) / 3.0 + layer.b.data, rtol=1e-12)
 
     def test_saturated_first_coefficient_is_linear(self):
-        layer = HybridLayer(5, 3, "three-way", np.random.default_rng(26))
+        layer = HybridLayer(5, 3, "threeway-hybrid", np.random.default_rng(26))
         layer.alpha_raw.data = np.tile([40.0, 0.0, 0.0], (3, 1))
         x = np.random.default_rng(27).standard_normal((2, 5))
         np.testing.assert_allclose(
@@ -557,7 +557,7 @@ class TestHybridThreeWay:
     def test_matches_compositional_oracle(self):
         """Blending the three scalar-oracle paths reproduces the layer."""
         rng = np.random.default_rng(28)
-        layer = HybridLayer(4, 3, "three-way", rng)
+        layer = HybridLayer(4, 3, "threeway-hybrid", rng)
         layer.alpha_raw.data = rng.uniform(-1.5, 1.5, size=(3, 3))
         layer.p.data = rng.uniform(-1, 3, size=3)
         layer.log_sigma.data = rng.uniform(-1, 1, size=3)
@@ -578,7 +578,7 @@ class TestHybridThreeWay:
         np.testing.assert_allclose(layer.forward(x), oracle, atol=1e-10)
 
     def test_initialization(self):
-        layer = HybridLayer(3, 4, "three-way")
+        layer = HybridLayer(3, 4, "threeway-hybrid")
         np.testing.assert_array_equal(layer.alpha_raw.data, np.zeros((4, 3)))
         np.testing.assert_array_equal(layer.p.data, np.ones(4))
         np.testing.assert_array_equal(layer.log_sigma.data, np.zeros(4))
@@ -591,7 +591,7 @@ class TestHybridThreeWay:
 class TestHybridBackward:
     def test_zero_upstream(self):
         rng = np.random.default_rng(29)
-        for kind in ("two-way-fmean", "two-way-gaussian", "three-way"):
+        for kind in ("fmean-hybrid", "gaussian-hybrid", "threeway-hybrid"):
             layer = HybridLayer(4, 3, kind, rng)
             layer.forward(rng.standard_normal((2, 4)))
             dx = layer.backward(np.zeros((2, 3)))
@@ -601,7 +601,7 @@ class TestHybridBackward:
 
     def test_indistinguishable_paths_leave_blend_stationary(self):
         """x = 0 makes every path output 0, so d alpha_raw vanishes."""
-        for kind in ("two-way-fmean", "two-way-gaussian"):
+        for kind in ("fmean-hybrid", "gaussian-hybrid"):
             layer = HybridLayer(4, 3, kind, np.random.default_rng(30))
             layer.forward(np.zeros((2, 4)))
             layer.backward(np.ones((2, 3)))
@@ -610,7 +610,7 @@ class TestHybridBackward:
     def test_shared_weight_gets_both_path_contributions(self):
         """dW from the hybrid equals the blend of per-path layer dWs."""
         rng = np.random.default_rng(31)
-        layer = HybridLayer(4, 2, "two-way-fmean", rng)
+        layer = HybridLayer(4, 2, "fmean-hybrid", rng)
         x = rng.standard_normal((3, 4))
         up = rng.standard_normal((3, 2))
         layer.forward(x)
@@ -633,7 +633,7 @@ class TestHybridBackward:
 
     def test_gradients_match_fd(self):
         rng = np.random.default_rng(32)
-        kinds = ("two-way-fmean", "two-way-gaussian", "three-way")
+        kinds = ("fmean-hybrid", "gaussian-hybrid", "threeway-hybrid")
         for i in range(18):
             kind = kinds[i % 3]
             n, u, b = rng.integers(2, 6), rng.integers(1, 4), rng.integers(1, 4)
@@ -670,7 +670,7 @@ class TestFiniteness:
             for make in (
                 lambda: FMeanLayer(n, u, rng),
                 lambda: GaussianSupportLayer(n, u, rng),
-                lambda: HybridLayer(n, u, "three-way", rng),
+                lambda: HybridLayer(n, u, "threeway-hybrid", rng),
             ):
                 layer = make()
                 layer.W.data = rng.uniform(-1e2, 1e2, size=(u, n))
@@ -687,6 +687,6 @@ class TestFiniteness:
 
     def test_shape_mismatch_rejected(self):
         for layer in (FMeanLayer(3, 2), GaussianSupportLayer(3, 2),
-                      HybridLayer(3, 2, "three-way")):
+                      HybridLayer(3, 2, "threeway-hybrid")):
             with pytest.raises(ShapeError):
                 layer.forward(np.ones((1, 4)))

@@ -258,6 +258,46 @@ class TestNoPartialLoad:
             np.testing.assert_array_equal(a, b)
 
 
+class TestEvalReads:
+    def test_eval_reads_the_blobs_once(self, tmp_path, monkeypatch):
+        """``aggnet eval`` reads the header for the config echo and again to
+        load, but the parameter blobs only once."""
+        from aggnet import checkpoint
+        from aggnet.cli import main
+
+        cfg = ExperimentConfig(arch="mlp", aggregation="threeway-hybrid", proj_dim=6,
+                               hidden_dim=5, classes=3, synthetic_train=30,
+                               synthetic_val=10, synthetic_test=10)
+        path = tmp_path / "best.ckpt"
+        save_checkpoint(build_model(cfg), path, extra={"config": cfg.to_dict()})
+        counts = []
+
+        class Counted:
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def __getattr__(self, name):
+                return getattr(self.f, name)
+
+            def read(self, n=-1):
+                data = self.f.read(n)
+                counts.append(len(data))
+                return data
+
+        monkeypatch.setattr(checkpoint, "open", lambda *a, **kw: Counted(open(*a, **kw)),
+                            raising=False)
+        assert main(["eval", "--checkpoint", str(path)]) == 0
+        header_bytes = 8 + struct.unpack("<Q", path.read_bytes()[:8])[0]
+        blob_bytes = path.stat().st_size - header_bytes
+        assert sum(counts) <= 2 * header_bytes + blob_bytes
+
+
 class TestAtomicWrite:
     def test_failed_replace_keeps_the_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "model.ckpt"

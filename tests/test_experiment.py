@@ -12,6 +12,7 @@ from aggnet.experiment import (
     TrainingDiverged,
     build_model,
     evaluate,
+    format_results_table,
     load_datasets,
     param_summary,
     robustness_score,
@@ -389,6 +390,18 @@ class TestSweep:
         b = sweep(matrix)
         assert a == b
 
+    def test_zero_clean_accuracy_row(self, tmp_path):
+        """A row whose one test sample is misclassified is ok with rho null,
+        and the results table prints ``--`` for it."""
+        matrix = {"archs": ["mlp"], "aggregations": ["baseline"], "seeds": [0],
+                  "proj_dim": 8, "hidden_dim": 8, "max_epochs": 1, "lr_standard": 0.0,
+                  "lr_novel": 0.0, "synthetic_train": 96, "synthetic_val": 32,
+                  "synthetic_test": 1}
+        (row,) = sweep(matrix, out_dir=tmp_path)
+        assert row["status"] == "ok"
+        assert row["clean_acc"] == 0.0 and row["rho"] is None
+        assert format_results_table([row]).splitlines()[1].split()[-1] == "--"
+
     @pytest.mark.slow
     def test_eight_row_full_matrix(self, tmp_path):
         """4 aggregations x 2 architectures produce 8 result rows."""
@@ -542,15 +555,17 @@ class TestCLI:
 
     @staticmethod
     def _refused(argv, capsys, *names):
-        """``main(argv)`` exits 2 with one stderr line naming each of names."""
+        """``main(argv)`` exits 2 with one stderr line naming each of names;
+        returns what it printed to stdout."""
         from aggnet.cli import main
 
         assert main(argv) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         lines = err.strip().splitlines()
         assert len(lines) == 1 and "Traceback" not in err
         for name in names:
             assert name in lines[0]
+        return out
 
     @pytest.mark.parametrize("override, names", [
         (None, ["cfg.json", "No such file"]),
@@ -558,16 +573,20 @@ class TestCLI:
         ({"max_epochs": "2"}, ["cfg.json", "max_epochs", "'2'"]),
         ({"lr_novel": True}, ["cfg.json", "lr_novel", "True"]),
         ({"data": "cifar10", "data_dir": "empty"}, ["data_batch_1.bin", "No such file"]),
+        ({"noise_sigma": -0.15}, ["cfg.json", "noise_sigma", "-0.15"]),
+        ({"noise_seed": -1}, ["cfg.json", "noise_seed", "-1"]),
     ])
     def test_train_refused_input(self, tmp_path, capsys, monkeypatch, override, names):
-        """A missing config file, a wrongly typed field, and a CIFAR-10
-        config without its batch files each exit 2 with one line."""
+        """A missing config file, a wrongly typed field, a CIFAR-10 config
+        without its batch files and a negative noise width or seed each
+        exit 2 with one line, before the first epoch."""
         monkeypatch.chdir(tmp_path)
         (tmp_path / "empty").mkdir()
         if override is not None:
             (tmp_path / "cfg.json").write_text(
                 json.dumps({**tiny_config(max_epochs=1).to_dict(), **override}))
-        self._refused(["train", "--config", "cfg.json", "--out", "run"], capsys, *names)
+        out = self._refused(["train", "--config", "cfg.json", "--out", "run"], capsys, *names)
+        assert "epoch" not in out
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -581,6 +600,37 @@ class TestCLI:
         self._refused(["train", "--config", str(cfg_path), "--out", str(out)], capsys,
                       "run aborted:", "at epoch 1, batch 1")
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_train_diverged_in_validation(self, tmp_path, capsys):
+        """With one step per epoch, a step that overflows the weights first
+        shows in validation: the run aborts with one line naming the epoch
+        and validation, not as rejected input."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {**tiny_config(max_epochs=1, batch_size=120).to_dict(), "lr_standard": 1e300}))
+        out = tmp_path / "run"
+        self._refused(["train", "--config", str(cfg_path), "--out", str(out)], capsys,
+                      "run aborted:", "epoch 1", "in validation")
+        assert not out.exists()
+
+    def test_zero_clean_accuracy_still_writes_the_run(self, tmp_path, capsys):
+        """A clean accuracy of 0 leaves rho undefined: train records null,
+        writes all three run files, and train and eval print ``--``."""
+        from aggnet.cli import main
+
+        cfg = tiny_config(max_epochs=1, synthetic_test=1, lr_standard=0.0, lr_novel=0.0)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["clean_accuracy"] == 0.0 and report["rho"] is None
+        assert sorted(os.listdir(out)) == ["best.ckpt", "metrics.csv", "report.json"]
+        assert main(["eval", "--checkpoint", str(out / "best.ckpt"),
+                     "--noise-sigma", "0.15"]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert "rho --" in printed[-3] and printed[-1] == "clean 0.00%  rho --"
 
     def test_eval_missing_checkpoint(self, tmp_path, capsys):
         ckpt = tmp_path / "best.ckpt"

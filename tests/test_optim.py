@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from aggnet.layers import NOVEL, Parameter, STANDARD
+from aggnet.model import AGGREGATION_KINDS, aggregation_layer, build_mlp
 from aggnet.optim import (
     Adam,
     EarlyStopper,
@@ -70,11 +71,24 @@ class TestParamGroups:
         with pytest.raises(ValueError):
             build_param_groups([p, p], 1e-3, 1e-2)
 
-    def test_tag_name_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            build_param_groups([_param("p", [1.0], STANDARD)], 1e-3, 1e-2)
-        with pytest.raises(ValueError):
-            build_param_groups([_param("W", [1.0], NOVEL)], 1e-3, 1e-2)
+    def test_unknown_tag_rejected(self):
+        with pytest.raises(ValueError, match="unknown parameter tag"):
+            build_param_groups([_param("W", [1.0], "fast")], 1e-3, 1e-2)
+
+    @pytest.mark.parametrize("aggregation", AGGREGATION_KINDS)
+    def test_novel_group_is_the_slot_parameters(self, aggregation):
+        """In a built model the novel group is exactly the aggregation
+        slot's p / log_sigma / alpha_raw, and empty for the baseline."""
+        model = build_mlp(aggregation, np.random.default_rng(0), in_dim=6, proj_dim=5,
+                          hidden_dim=4, classes=3)
+        std, nov = build_param_groups(model.parameters(), 1e-3, 1e-2)
+        layer = aggregation_layer(model)
+        slot = [] if layer is None else [
+            p for p in (layer.p, layer.log_sigma, layer.alpha_raw) if p is not None]
+        assert [id(p) for p in nov.params] == [id(p) for p in slot]
+        assert {p.name for p in slot} <= {"p", "log_sigma", "alpha_raw"}
+        assert len(slot) == {"baseline": 0, "threeway-hybrid": 3}.get(aggregation, 2)
+        assert len(std.params) + len(nov.params) == len(model.parameters())
 
 
 class TestAdam:

@@ -12,7 +12,6 @@ from .aggregation import (
     FMeanLayer,
     GaussianSupportLayer,
     HybridLayer,
-    fmean_aggregate,
     fmean_weights,
     gaussian_affinity,
     gaussian_support_weights,

@@ -118,11 +118,6 @@ def fmean_weights(z, p) -> np.ndarray:
     return _fmean_eval(as_tensor(z), np.asarray(p, dtype=float))[1][1]
 
 
-def fmean_aggregate(z, p) -> np.ndarray:
-    """Power-weighted aggregation sum_i w_i(p) * z_i over the last axis."""
-    return _fmean_eval(as_tensor(z), np.asarray(p, dtype=float))[0]
-
-
 def _fmean_grads(z, p, cache, dA):
     """Exact gradients of the F-Mean reduction.
 
@@ -242,8 +237,6 @@ class HybridLayer(Layer):
         if kind not in KIND_PATHS:
             raise ValueError(f"unknown aggregation kind {kind!r}, "
                              f"expected one of {tuple(KIND_PATHS)}")
-        self.in_units = in_units
-        self.out_units = out_units
         self.kind = kind
         self.paths = KIND_PATHS[kind]
         self.eps = eps

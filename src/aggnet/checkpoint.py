@@ -4,7 +4,8 @@ Layout: an 8-byte little-endian header length, a UTF-8 JSON header
 describing every layer's parameters (names, shapes, dtype) plus optional
 caller metadata, then the raw little-endian float64 blobs concatenated in
 declaration order.  The reader checks the header length, format, version,
-dtypes and the exact blob length before it trusts a file.
+dtypes and the exact blob length before it trusts a file, and the loader
+refuses a NaN or infinite parameter value.
 """
 
 from __future__ import annotations
@@ -107,8 +108,9 @@ def read_header(path) -> dict:
 def load_checkpoint(model, path):
     """Load parameters from ``path`` into an already-built model.
 
-    Layer structure, parameter names and shapes must match exactly; on a
-    mismatch nothing is loaded.  Returns the header.
+    Layer structure, parameter names and shapes must match exactly and
+    every value must be finite; otherwise nothing is loaded.  Returns the
+    header.
     """
     with open(path, "rb") as f:
         header, size = _read_header(f, path)
@@ -118,10 +120,15 @@ def load_checkpoint(model, path):
     if names != expected:
         raise _rejected(path, f"parameters per layer {names}, model has {expected}")
     state, offset = [], 0
-    for pm in (pm for meta in header["layers"] for pm in meta["params"]):
-        count = math.prod(pm["shape"])
-        state.append(np.frombuffer(blob, MAGIC_DTYPE, count, offset).reshape(pm["shape"]))
-        offset += 8 * count
+    for li, (layer, meta) in enumerate(zip(model.layers, header["layers"])):
+        for pm in meta["params"]:
+            count = math.prod(pm["shape"])
+            arr = np.frombuffer(blob, MAGIC_DTYPE, count, offset).reshape(pm["shape"])
+            if not np.all(np.isfinite(arr)):
+                raise _rejected(path, f"non-finite value in layer {li} "
+                                      f"({type(layer).__name__}) parameter {pm['name']}")
+            state.append(arr)
+            offset += 8 * count
     try:
         model.load_state(state)
     except ValueError as exc:

@@ -9,6 +9,7 @@ failed sweep rows, an aborted run or any rejected input exit 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import data as datamod
@@ -42,15 +43,18 @@ def _cmd_eval(args) -> int:
     if cfg_dict is None:
         raise ValueError(f"checkpoint {args.checkpoint}: no config echo to rebuild from")
     config = ExperimentConfig.from_dict(cfg_dict)
+    # the config's own checks refuse a negative width or seed
+    noise_cfg = dataclasses.replace(config, noise_sigma=args.noise_sigma,
+                                    noise_seed=args.noise_seed)
     model = build_model(config)
     load_checkpoint(model, args.checkpoint)
     _, _, test = load_datasets(config)
     noise = None
-    if args.noise_sigma > 0:
-        noise = datamod.NoiseSpec(sigma_noise=args.noise_sigma, seed=args.noise_seed)
+    if noise_cfg.noise_sigma > 0:
+        noise = datamod.NoiseSpec(sigma_noise=noise_cfg.noise_sigma, seed=noise_cfg.noise_seed)
     acc = evaluate(model, test, config.arch, noise=noise)
     print(f"accuracy {100 * acc:.2f}%  (noise sigma {args.noise_sigma})")
-    if args.noise_sigma > 0:
+    if noise is not None:
         clean = evaluate(model, test, config.arch)
         rho = robustness_score(clean, acc) if clean > 0 else None
         print(f"clean {100 * clean:.2f}%  rho {rho_text(rho)}")

@@ -61,8 +61,8 @@ class Dataset:
 class NoiseSpec:
     """Additive i.i.d. Gaussian pixel noise, drawn deterministically."""
 
-    sigma_noise: float = 0.15
-    seed: int = 0
+    sigma_noise: float
+    seed: int
 
 
 def _parse_records(raw: bytes, path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -159,18 +159,16 @@ def make_synthetic(n: int, classes: int = NUM_CLASSES, seed: int = 0,
     return Dataset(images, labels.astype(np.int64), split=split)
 
 
-def batches(data: Dataset, batch_size: int, shuffle_seed: int | None = None):
-    """Yield (images, labels) batches; the final partial batch is kept.
+def batches(data: Dataset, batch_size: int, shuffle_seed: int):
+    """Yield (images, labels) batches in the order of the permutation that
+    ``shuffle_seed`` draws; the final partial batch is kept.
 
-    With a seed the order is a deterministic permutation, otherwise the
-    stored order is used.  Every index appears exactly once per epoch.
+    Every index appears exactly once per epoch.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     n = len(data)
-    idx = np.arange(n)
-    if shuffle_seed is not None:
-        idx = np.random.default_rng(shuffle_seed).permutation(n)
+    idx = np.random.default_rng(shuffle_seed).permutation(n)
     for lo in range(0, n, batch_size):
         sel = idx[lo : lo + batch_size]
         yield data.images[sel], data.labels[sel]

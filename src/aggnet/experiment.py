@@ -35,6 +35,8 @@ from .model import (
 from .ops import InvalidValueError
 from .optim import Adam, EarlyStopper, NonFiniteGradient, PlateauScheduler, build_param_groups
 
+EVAL_BATCH = 256  # rows per uncached forward pass in evaluation and validation
+
 
 class TrainingDiverged(RuntimeError):
     """Loss or a gradient became non-finite; carries the failing step."""
@@ -92,6 +94,11 @@ class ExperimentConfig:
         for name in ("noise_sigma", "noise_seed"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)!r}")
+        for name in ("eps", "clip_norm"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        if not 0 < self.sched_factor <= 1:
+            raise ValueError(f"sched_factor must be in (0, 1], got {self.sched_factor!r}")
 
     @classmethod
     def from_dict(cls, d) -> "ExperimentConfig":
@@ -197,17 +204,18 @@ def _eval_batches(model: Model, images, labels, arch: str, batch_size: int):
 
 
 def evaluate(model: Model, dataset, arch: str, noise: datamod.NoiseSpec | None = None,
-             batch_size: int = 256) -> float:
-    """Argmax accuracy, with optional on-the-fly Gaussian corruption."""
+             batch_size: int = EVAL_BATCH) -> float:
+    """Argmax accuracy, with optional on-the-fly Gaussian corruption,
+    over uncached forward passes of ``batch_size`` rows."""
     images = dataset.images if noise is None else datamod.add_noise(dataset.images, noise)
     batches = _eval_batches(model, images, dataset.labels, arch, batch_size)
     return sum(int(np.sum(np.argmax(logits, axis=1) == y)) for logits, y in batches) / len(dataset)
 
 
-def validation_loss(model: Model, dataset, arch: str, batch_size: int = 256):
+def validation_loss(model: Model, dataset, arch: str):
     """Mean cross-entropy and accuracy over a dataset (no caching)."""
     total, correct = 0.0, 0
-    for logits, y in _eval_batches(model, dataset.images, dataset.labels, arch, batch_size):
+    for logits, y in _eval_batches(model, dataset.images, dataset.labels, arch, EVAL_BATCH):
         loss, _ = softmax_xent(logits, y)
         total += loss * len(y)
         correct += int(np.sum(np.argmax(logits, axis=1) == y))

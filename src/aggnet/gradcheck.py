@@ -26,7 +26,7 @@ TOL = 1e-5
 CASES = 100
 
 
-def fd_gradient(f, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
+def fd_gradient(f, x: np.ndarray) -> np.ndarray:
     """Central-difference gradient of scalar f with respect to array x.
 
     Perturbs x in place entry by entry, restoring it afterwards.
@@ -36,12 +36,12 @@ def fd_gradient(f, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
     gflat = g.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + step
+        flat[i] = orig + FD_STEP
         hi = f()
-        flat[i] = orig - step
+        flat[i] = orig - FD_STEP
         lo = f()
         flat[i] = orig
-        gflat[i] = (hi - lo) / (2.0 * step)
+        gflat[i] = (hi - lo) / (2.0 * FD_STEP)
     return g
 
 

@@ -72,7 +72,6 @@ class LinearLayer(Layer):
 
     def __init__(self, in_units: int, out_units: int, rng: np.random.Generator | None = None):
         self.in_units = in_units
-        self.out_units = out_units
         self.W = Parameter("W", kaiming_uniform(rng, (out_units, in_units), in_units))
         self.b = Parameter("b", np.zeros(out_units))
 
@@ -96,16 +95,16 @@ class LinearLayer(Layer):
 
 
 class ReLULayer(Layer):
-    """max(0, x); the gradient is zero at exactly 0."""
+    """max(0, x); the gradient is zero at exactly 0 (the cache is x > 0)."""
 
     def forward(self, x, train: bool = True):
         x = as_tensor(x)
         if train:
-            self._cache = x
+            self._cache = x > 0
         return np.maximum(x, 0.0)
 
     def backward(self, upstream):
-        return np.where(self._take_cache() > 0, upstream, 0.0)
+        return np.where(self._take_cache(), upstream, 0.0)
 
 
 class FlattenLayer(Layer):
@@ -136,7 +135,6 @@ class ConvLayer(Layer):
 
     def __init__(self, in_ch: int, out_ch: int, rng: np.random.Generator | None = None):
         self.in_ch = in_ch
-        self.out_ch = out_ch
         self.kernels = Parameter("kernels", kaiming_uniform(rng, (out_ch, in_ch, 3, 3), in_ch * 9))
         self.bias = Parameter("bias", np.zeros(out_ch))
 

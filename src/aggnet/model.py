@@ -43,9 +43,6 @@ class Model:
     def parameters(self) -> list[Parameter]:
         return [p for layer in self.layers for p in layer.params()]
 
-    def param_count(self) -> int:
-        return sum(p.data.size for p in self.parameters())
-
     def forward(self, x, train: bool = True):
         out = x
         for layer in self.layers:
@@ -96,12 +93,12 @@ def _head(in_w: int, aggregation: str, rng, proj_dim: int, hidden_dim: int,
     ]
 
 
-def build_mlp(aggregation: str, rng, in_dim=3072, proj_dim=128, hidden_dim=128,
-              classes=10, eps=EPS) -> Model:
+def build_mlp(aggregation: str, rng, in_dim=3072, *, proj_dim: int, hidden_dim: int,
+              classes: int, eps=EPS) -> Model:
     return Model(_head(in_dim, aggregation, rng, proj_dim, hidden_dim, classes, eps))
 
 
-def build_cnn(aggregation: str, rng, proj_dim=256, hidden_dim=256, classes=10,
+def build_cnn(aggregation: str, rng, *, proj_dim: int, hidden_dim: int, classes: int,
               eps=EPS) -> Model:
     c1, c2, c3, c4 = CNN_CHANNELS
     return Model([

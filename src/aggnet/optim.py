@@ -16,12 +16,14 @@ import numpy as np
 
 from .layers import NOVEL, Parameter, STANDARD
 
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 class NonFiniteGradient(RuntimeError):
     """A NaN or Inf gradient reached the optimizer; the step is aborted."""
 
 
-def clip_global_norm(grads: list[np.ndarray], max_norm: float = 1.0) -> list[np.ndarray]:
+def clip_global_norm(grads: list[np.ndarray], max_norm: float) -> list[np.ndarray]:
     """Scale all gradients by max_norm/g when the global L2 norm g exceeds it.
 
     Returns new arrays (inputs are not mutated).  Non-finite gradients
@@ -72,18 +74,16 @@ def build_param_groups(params: list[Parameter], lr_standard: float, lr_novel: fl
 
 
 class Adam:
-    """Bias-corrected Adam over parameter groups.
+    """Bias-corrected Adam over parameter groups, with the standard moment
+    decays ``BETA1``, ``BETA2`` and denominator guard ``ADAM_EPS``.
 
     One shared step counter; per-parameter first/second moments.  Group
     learning rates are read at step time so the scheduler can rescale
     them in place.
     """
 
-    def __init__(self, groups: list[ParamGroup], beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, groups: list[ParamGroup]):
         self.groups = groups
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self._m = {id(p): np.zeros_like(p.data) for g in groups for p in g.params}
         self._v = {id(p): np.zeros_like(p.data) for g in groups for p in g.params}
@@ -101,20 +101,20 @@ class Adam:
         lr_of = {id(p): g.learning_rate for g in self.groups for p in g.params}
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
+        bc1 = 1.0 - BETA1**t
+        bc2 = 1.0 - BETA2**t
         for p, grad in zip(live, grads):
             if grad.shape != p.data.shape:
                 raise ValueError(f"gradient shape {grad.shape} != {p.data.shape} for {p.name}")
             m = self._m[id(p)]
             v = self._v[id(p)]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
+            m *= BETA1
+            m += (1.0 - BETA1) * grad
+            v *= BETA2
+            v += (1.0 - BETA2) * grad * grad
             mhat = m / bc1
             vhat = v / bc2
-            p.data -= lr_of[id(p)] * mhat / (np.sqrt(vhat) + self.eps)
+            p.data -= lr_of[id(p)] * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 class EarlyStopper:

@@ -17,7 +17,6 @@ from aggnet.aggregation import (
     HybridLayer,
     _CHUNK_ELEMS,
     _affinity_moments,
-    fmean_aggregate,
     fmean_weights,
     gaussian_affinity,
     gaussian_support_weights,
@@ -153,22 +152,27 @@ class TestFMeanWeights:
             np.testing.assert_allclose(w[i], fmean_weights(z[i], p[i]), rtol=1e-12)
 
 
+def fmean_value(z, p):
+    """The F-Mean aggregate sum_i w_i(p) z_i, bit for bit as the layer forms it."""
+    return np.sum(fmean_weights(z, p) * z, axis=-1)
+
+
 class TestFMeanAggregate:
     def test_constant_vector(self):
         """Weighted mean of constants is the constant (up to eps)."""
         for c in (-2.0, 0.5, 3.0):
-            a = fmean_aggregate(np.full(4, c), 1.7)
+            a = fmean_value(np.full(4, c), 1.7)
             assert a == pytest.approx(c, rel=1e-6)
 
     def test_known_pair(self):
-        a = fmean_aggregate(np.array([1.0, -1.0]), 1.0)
+        a = fmean_value(np.array([1.0, -1.0]), 1.0)
         assert a == pytest.approx(0.61475, abs=1e-3)
         _, oracle = fmean_oracle([1.0, -1.0], 1.0)
         assert a == pytest.approx(oracle, rel=1e-12)
 
     def test_max_like_limit(self):
         """Large p drives the aggregate to the maximum entry."""
-        a = fmean_aggregate(np.array([2.0, 1.0, 0.0]), 50.0)
+        a = fmean_value(np.array([2.0, 1.0, 0.0]), 50.0)
         assert a == pytest.approx(2.0, abs=1e-3)
 
     def test_mean_special_case(self):
@@ -176,7 +180,7 @@ class TestFMeanAggregate:
         rng = np.random.default_rng(4)
         for _ in range(50):
             z = rng.uniform(-5, 5, size=rng.integers(2, 10))
-            a = fmean_aggregate(z, 0.0)
+            a = fmean_value(z, 0.0)
             assert abs(a - z.mean()) <= 1e-5 * max(1.0, abs(z.mean()))
 
 
@@ -468,9 +472,10 @@ class TestGaussianSupportLayer:
 
 def _linear_path(layer, x):
     """The plain-sum path of a hybrid unit, via an ordinary LinearLayer."""
-    lin = LinearLayer(layer.in_units, layer.out_units)
+    out_units, in_units = layer.W.data.shape
+    lin = LinearLayer(in_units, out_units)
     lin.W.data = layer.W.data.copy()
-    lin.b.data = np.zeros(layer.out_units)
+    lin.b.data = np.zeros(out_units)
     return lin.forward(x)
 
 
@@ -482,7 +487,7 @@ class TestHybridTwoWay:
         out = layer.forward(x)
         z = x[:, None, :] * layer.W.data[None, :, :]
         a_lin = z.sum(-1)
-        a_fm = fmean_aggregate(z, layer.p.data[None, :])
+        a_fm = fmean_value(z, layer.p.data[None, :])
         np.testing.assert_allclose(out, 0.5 * a_fm + 0.5 * a_lin + layer.b.data, rtol=1e-12)
 
     def test_saturated_negative_recovers_linear(self):
@@ -505,7 +510,7 @@ class TestHybridTwoWay:
         layer.b.data = rng.standard_normal(2)
         x = rng.standard_normal((2, 4))
         z = x[:, None, :] * layer.W.data[None, :, :]
-        a_fm = fmean_aggregate(z, layer.p.data[None, :])
+        a_fm = fmean_value(z, layer.p.data[None, :])
         np.testing.assert_allclose(layer.forward(x), a_fm + layer.b.data, atol=1e-12)
 
     def test_output_affine_in_blend(self):
@@ -540,7 +545,7 @@ class TestHybridThreeWay:
         out = layer.forward(x)
         z = x[:, None, :] * layer.W.data[None, :, :]
         a_lin = z.sum(-1)
-        a_fm = fmean_aggregate(z, layer.p.data[None, :])
+        a_fm = fmean_value(z, layer.p.data[None, :])
         sigma = np.exp(layer.log_sigma.data)[None, :]
         aff_w = gaussian_support_weights(gaussian_affinity(z, sigma))
         a_g = (aff_w * z).sum(-1)

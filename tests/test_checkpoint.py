@@ -212,6 +212,43 @@ class TestCheckpointReader:
         self.assert_rejected(saved, "malformed header")
 
 
+class TestNonFiniteRefused:
+    """A NaN or infinite parameter value is refused before anything is
+    assigned, naming the file, the layer and the parameter."""
+
+    @pytest.fixture(params=[np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def damaged(self, request, tmp_path):
+        cfg = ExperimentConfig(arch="mlp", aggregation="threeway-hybrid", proj_dim=6,
+                               hidden_dim=5, classes=3, synthetic_train=30,
+                               synthetic_val=10, synthetic_test=10)
+        model = build_model(cfg)
+        model.layers[2].log_sigma.data[1] = request.param
+        path = tmp_path / "best.ckpt"
+        save_checkpoint(model, path, extra={"config": cfg.to_dict()})
+        return cfg, path
+
+    def test_load_checkpoint_refuses(self, damaged):
+        cfg, path = damaged
+        model = build_model(cfg)
+        before = model.state()
+        with pytest.raises(ValueError, match="non-finite value in layer 2 "
+                                             r"\(HybridLayer\) parameter log_sigma") as info:
+            load_checkpoint(model, path)
+        assert str(path) in str(info.value)
+        for a, b in zip(before, model.state()):
+            np.testing.assert_array_equal(a, b)
+
+    def test_eval_exits_2(self, damaged, capsys):
+        from aggnet.cli import main
+
+        _, path = damaged
+        assert main(["eval", "--checkpoint", str(path), "--noise-sigma", "0.15"]) == 2
+        out, err = capsys.readouterr()
+        lines = err.strip().splitlines()
+        assert out == "" and len(lines) == 1
+        assert str(path) in lines[0] and "log_sigma" in lines[0]
+
+
 class TestNoPartialLoad:
     """A desynced model is left exactly as it was when a load fails."""
 

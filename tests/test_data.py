@@ -158,16 +158,16 @@ class TestNoise:
 
     def test_deterministic_per_seed(self):
         img = np.zeros((2, 3, 32, 32))
-        a = add_noise(img, NoiseSpec(seed=7))
-        b = add_noise(img, NoiseSpec(seed=7))
-        c = add_noise(img, NoiseSpec(seed=8))
+        a = add_noise(img, NoiseSpec(sigma_noise=0.15, seed=7))
+        b = add_noise(img, NoiseSpec(sigma_noise=0.15, seed=7))
+        c = add_noise(img, NoiseSpec(sigma_noise=0.15, seed=8))
         np.testing.assert_array_equal(a, b)
         assert np.any(a != c)
 
     def test_out_of_place(self):
         img = np.full((1, 3, 32, 32), 0.5)
         before = img.copy()
-        add_noise(img, NoiseSpec(seed=0))
+        add_noise(img, NoiseSpec(sigma_noise=0.15, seed=0))
         np.testing.assert_array_equal(img, before)
 
     def test_values_not_clipped(self):
@@ -228,7 +228,7 @@ class TestBatches:
         return Dataset(rng.random((n, 3, 32, 32)), np.arange(n) % 10)
 
     def test_partial_batch_kept(self):
-        sizes = [len(y) for _, y in batches(self._dataset(10), 3)]
+        sizes = [len(y) for _, y in batches(self._dataset(10), 3, shuffle_seed=0)]
         assert sizes == [3, 3, 3, 1]
 
     def test_shuffle_deterministic(self):
@@ -245,7 +245,7 @@ class TestBatches:
 
     def test_bad_batch_size(self):
         with pytest.raises(ValueError):
-            list(batches(self._dataset(5), 0))
+            list(batches(self._dataset(5), 0, shuffle_seed=0))
 
 
 class TestFetch:

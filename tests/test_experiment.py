@@ -33,6 +33,10 @@ def tiny_config(**kw):
     return ExperimentConfig(**base)
 
 
+def param_total(model):
+    return sum(p.data.size for p in model.parameters())
+
+
 class TestConfigFromDict:
     @pytest.mark.parametrize("kw", [
         {},
@@ -66,13 +70,13 @@ class TestBuildModel:
         expected = 3072 * 128 + 128 + 128 * 128 + 128 + 128 * 10 + 10
         assert expected == 411_146
         cfg = ExperimentConfig(arch="mlp", aggregation="baseline")
-        assert build_model(cfg).param_count() == expected
+        assert param_total(build_model(cfg)) == expected
 
     def test_fmean_hybrid_adds_exactly_256_novel_parameters(self):
         """128 p entries plus 128 alpha_raw entries over the baseline."""
         base = build_model(ExperimentConfig(arch="mlp", aggregation="baseline"))
         hyb = build_model(ExperimentConfig(arch="mlp", aggregation="fmean-hybrid"))
-        assert hyb.param_count() - base.param_count() == 256
+        assert param_total(hyb) - param_total(base) == 256
 
     def test_threeway_has_five_novel_parameters_per_unit(self):
         """Per unit: p, log_sigma and three alpha_raw entries."""
@@ -575,11 +579,18 @@ class TestCLI:
         ({"data": "cifar10", "data_dir": "empty"}, ["data_batch_1.bin", "No such file"]),
         ({"noise_sigma": -0.15}, ["cfg.json", "noise_sigma", "-0.15"]),
         ({"noise_seed": -1}, ["cfg.json", "noise_seed", "-1"]),
+        ({"eps": 0.0}, ["cfg.json", "eps", "0.0"]),
+        ({"eps": -1.0}, ["cfg.json", "eps", "-1.0"]),
+        ({"clip_norm": -1.0}, ["cfg.json", "clip_norm", "-1.0"]),
+        ({"clip_norm": 0}, ["cfg.json", "clip_norm", "0"]),
+        ({"sched_factor": 3.0}, ["cfg.json", "sched_factor", "3.0"]),
+        ({"sched_factor": 0.0}, ["cfg.json", "sched_factor", "0.0"]),
     ])
     def test_train_refused_input(self, tmp_path, capsys, monkeypatch, override, names):
         """A missing config file, a wrongly typed field, a CIFAR-10 config
-        without its batch files and a negative noise width or seed each
-        exit 2 with one line, before the first epoch."""
+        without its batch files, a negative noise width or seed, a
+        non-positive eps or clip norm and a plateau factor outside (0, 1]
+        each exit 2 with one line, before the first epoch."""
         monkeypatch.chdir(tmp_path)
         (tmp_path / "empty").mkdir()
         if override is not None:
@@ -631,6 +642,19 @@ class TestCLI:
                      "--noise-sigma", "0.15"]) == 0
         printed = capsys.readouterr().out.splitlines()
         assert "rho --" in printed[-3] and printed[-1] == "clean 0.00%  rho --"
+
+    @pytest.mark.parametrize("flag, value", [("--noise-sigma", "-0.5"), ("--noise-seed", "-1")])
+    def test_eval_refused_noise(self, tmp_path, capsys, flag, value):
+        """A negative noise width or seed on the command line is refused by
+        the config's own check: exit 2, one line, nothing evaluated."""
+        from aggnet.checkpoint import save_checkpoint
+
+        cfg = tiny_config()
+        ckpt = tmp_path / "best.ckpt"
+        save_checkpoint(build_model(cfg), ckpt, extra={"config": cfg.to_dict()})
+        name = flag[2:].replace("-", "_")
+        out = self._refused(["eval", "--checkpoint", str(ckpt), flag, value], capsys, name, value)
+        assert out == ""
 
     def test_eval_missing_checkpoint(self, tmp_path, capsys):
         ckpt = tmp_path / "best.ckpt"

@@ -208,6 +208,15 @@ class TestReLU:
         dx = layer.backward(np.ones(3))
         np.testing.assert_array_equal(dx, [0.0, 0.0, 1.0])
 
+    def test_caches_only_the_mask(self):
+        """Backward reads only where x > 0: the cache is that boolean mask,
+        one byte per element, not the float64 input."""
+        layer = ReLULayer()
+        x = np.random.default_rng(0).standard_normal((4, 5))
+        layer.forward(x)
+        assert layer._cache.dtype == bool
+        np.testing.assert_array_equal(layer._cache, x > 0)
+
 
 class TestFlatten:
     def test_round_trip(self):

@@ -256,10 +256,10 @@ class HybridLayer(Layer):
                 if p is not None]
 
     def blend(self):
-        """The weight of each path in path order, as (U,) vectors, or None
-        for a single path."""
+        """The weight of each path in path order, as (U,) vectors; a single
+        path has the one weight 1."""
         if self.alpha_raw is None:
-            return None
+            return (np.ones_like(self.b.data),)
         if len(self.paths) == 2:
             s = sigmoid(self.alpha_raw.data)
             return (1.0 - s, s)
@@ -279,12 +279,9 @@ class HybridLayer(Layer):
             outs.append(a)
             caches.append(cache)
         blend = self.blend()
-        if blend is None:
-            out = outs[0]
-        else:
-            out = blend[0] * outs[0]
-            for w, a in zip(blend[1:], outs[1:]):
-                out = out + w * a
+        out = blend[0] * outs[0]
+        for w, a in zip(blend[1:], outs[1:]):
+            out = out + w * a
         if train:
             self._cache = (x, z, blend, outs, caches)
         return out + self.b.data
@@ -304,7 +301,7 @@ class HybridLayer(Layer):
 
         dz = None
         for i, (path, cache) in enumerate(zip(self.paths, caches)):
-            d = upstream if blend is None else upstream * blend[i]
+            d = upstream * blend[i]
             if path == LINEAR:
                 dz = np.empty_like(z)
                 dz[...] = d[..., None]

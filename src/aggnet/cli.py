@@ -43,9 +43,11 @@ def _cmd_eval(args) -> int:
     if cfg_dict is None:
         raise ValueError(f"checkpoint {args.checkpoint}: no config echo to rebuild from")
     config = ExperimentConfig.from_dict(cfg_dict)
-    # the config's own checks refuse a negative width or seed
-    noise_cfg = dataclasses.replace(config, noise_sigma=args.noise_sigma,
-                                    noise_seed=args.noise_seed)
+    # the run's own noise seed unless one is given; the config's own checks
+    # refuse a negative width or seed
+    noise_cfg = dataclasses.replace(
+        config, noise_sigma=args.noise_sigma,
+        noise_seed=config.noise_seed if args.noise_seed is None else args.noise_seed)
     model = build_model(config)
     load_checkpoint(model, args.checkpoint)
     _, _, test = load_datasets(config)
@@ -93,7 +95,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--noise-sigma", type=float, default=0.0)
-    p.add_argument("--noise-seed", type=int, default=1234)
+    p.add_argument("--noise-seed", type=int, default=None,
+                   help="default: the noise_seed of the checkpoint's config")
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("sweep", help="train a configuration matrix")

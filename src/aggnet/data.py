@@ -65,7 +65,9 @@ class NoiseSpec:
     seed: int
 
 
-def _parse_records(raw: bytes, path: str) -> tuple[np.ndarray, np.ndarray]:
+def load_batch_file(path) -> tuple[np.ndarray, np.ndarray]:
+    """Parse one binary batch file into ([0,1] images, labels)."""
+    raw = Path(path).read_bytes()
     if len(raw) == 0 or len(raw) % RECORD_BYTES:
         raise DataFormatError(
             f"{path}: size {len(raw)} is not a positive multiple of {RECORD_BYTES}"
@@ -76,11 +78,6 @@ def _parse_records(raw: bytes, path: str) -> tuple[np.ndarray, np.ndarray]:
         raise DataFormatError(f"{path}: label byte {labels.max()} > 9")
     images = rec[:, 1:].reshape(-1, *IMAGE_SHAPE).astype(np.float64) / 255.0
     return images, labels
-
-
-def load_batch_file(path) -> tuple[np.ndarray, np.ndarray]:
-    """Parse one binary batch file into ([0,1] images, labels)."""
-    return _parse_records(Path(path).read_bytes(), str(path))
 
 
 def load_cifar10(data_dir) -> tuple[Dataset, Dataset]:

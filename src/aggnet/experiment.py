@@ -36,23 +36,19 @@ from .ops import InvalidValueError
 from .optim import Adam, EarlyStopper, NonFiniteGradient, PlateauScheduler, build_param_groups
 
 EVAL_BATCH = 256  # rows per uncached forward pass in evaluation and validation
+DATA_SOURCES = ("cifar10", "synthetic")
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss or a gradient became non-finite; carries the failing step."""
-
-    def __init__(self, message, seed=None, epoch=None, batch_index=None):
-        super().__init__(message)
-        self.seed = seed
-        self.epoch = epoch
-        self.batch_index = batch_index
+    """Loss or a gradient became non-finite; the message names the epoch,
+    the batch or validation, and the seed."""
 
 
 @dataclass
 class ExperimentConfig:
     arch: str = "mlp"
     aggregation: str = "baseline"
-    data: str = "synthetic"  # "cifar10" | "synthetic"
+    data: str = "synthetic"
     data_dir: str = "data"
     batch_size: int = 128
     max_epochs: int = 60
@@ -80,6 +76,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.arch not in ARCHS:
             raise ValueError(f"arch must be one of {ARCHS}, got {self.arch!r}")
+        if self.data not in DATA_SOURCES:
+            raise ValueError(f"data must be one of {DATA_SOURCES}, got {self.data!r}")
         if self.aggregation not in AGGREGATION_KINDS:
             raise ValueError(
                 f"aggregation must be one of {AGGREGATION_KINDS}, got {self.aggregation!r}"
@@ -91,7 +89,12 @@ class ExperimentConfig:
             self.hidden_dim = self.proj_dim
         if self.proj_dim <= 0 or self.hidden_dim <= 0:
             raise ValueError("widths must be positive")
-        for name in ("noise_sigma", "noise_seed"):
+        if not 2 <= self.classes <= datamod.NUM_CLASSES:
+            raise ValueError(f"classes must be in [2, {datamod.NUM_CLASSES}], "
+                             f"got {self.classes!r}")
+        if not self.max_epochs >= 1:
+            raise ValueError(f"max_epochs must be at least 1, got {self.max_epochs!r}")
+        for name in ("noise_sigma", "noise_seed", "early_stop_patience", "sched_patience"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)!r}")
         for name in ("eps", "clip_norm"):
@@ -193,6 +196,7 @@ def load_datasets(config: ExperimentConfig):
         b = a + config.synthetic_val
         return tuple(datamod.Dataset(full.images[lo:hi], full.labels[lo:hi], split=split)
                      for split, lo, hi in (("train", 0, a), ("val", a, b), ("test", b, None)))
+    # reached only by a config whose data field was set after construction
     raise ValueError(f"unknown data source {config.data!r}")
 
 
@@ -234,8 +238,8 @@ def param_summary(model: Model) -> dict:
 
     Widths are reported as exp(log_sigma) and exponents as p.  A blended
     layer reports ``alpha``, the per-unit weight on its novel paths, and
-    a blend of three paths also each path's weight.  Single-path layers have
-    no blend; baseline models produce an empty summary.
+    a blend of three paths also each path's weight.  Single-path layers report
+    no alpha; baseline models produce an empty summary.
     """
     layer = aggregation_layer(model)
     if layer is None:
@@ -253,7 +257,7 @@ def param_summary(model: Model) -> dict:
     if layer.log_sigma is not None:
         out["sigma"] = stats(np.exp(layer.log_sigma.data))
     blend = layer.blend()
-    if blend is not None:
+    if len(blend) > 1:
         if len(blend) == 3:
             out["blend"] = {path: stats(w) for path, w in zip(layer.paths, blend)}
         out["alpha"] = stats(sum(blend[1:]))  # novel-path mass
@@ -316,10 +320,7 @@ def train(config: ExperimentConfig, out_dir=None, datasets=None,
                 raise InvalidValueError("non-finite validation loss")
         except (InvalidValueError, NonFiniteGradient) as exc:
             where = "in validation" if bi is None else f"batch {bi}"
-            raise TrainingDiverged(
-                f"{exc} at epoch {epoch}, {where} (seed {config.seed})",
-                seed=config.seed, epoch=epoch, batch_index=bi,
-            ) from exc
+            raise TrainingDiverged(f"{exc} at epoch {epoch}, {where} (seed {config.seed})") from exc
         summary = param_summary(model)
         report.epochs.append(
             _epoch_row(epoch, float(np.mean(losses)), val_loss, val_acc, groups, summary)

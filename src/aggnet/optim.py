@@ -26,7 +26,8 @@ class NonFiniteGradient(RuntimeError):
 def clip_global_norm(grads: list[np.ndarray], max_norm: float) -> list[np.ndarray]:
     """Scale all gradients by max_norm/g when the global L2 norm g exceeds it.
 
-    Returns new arrays (inputs are not mutated).  Non-finite gradients
+    Never mutates its inputs: at or below the norm it returns the input
+    arrays themselves, above it scaled copies.  Non-finite gradients
     abort with :class:`NonFiniteGradient` before any scaling.
     """
     total = 0.0
@@ -36,7 +37,7 @@ def clip_global_norm(grads: list[np.ndarray], max_norm: float) -> list[np.ndarra
         total += float(np.sum(g * g))
     norm = np.sqrt(total)
     if norm <= max_norm:
-        return [g.copy() for g in grads]
+        return list(grads)
     scale = max_norm / norm
     return [g * scale for g in grads]
 
@@ -83,38 +84,28 @@ class Adam:
     """
 
     def __init__(self, groups: list[ParamGroup]):
-        self.groups = groups
         self.step_count = 0
-        self._m = {id(p): np.zeros_like(p.data) for g in groups for p in g.params}
-        self._v = {id(p): np.zeros_like(p.data) for g in groups for p in g.params}
+        self._state = [(g, p, np.zeros_like(p.data), np.zeros_like(p.data))
+                       for g in groups for p in g.params]
 
-    def step(self, clip_norm: float | None = None):
-        """Apply one update using each parameter's current ``.grad``.
-
-        When ``clip_norm`` is given the global norm across all groups is
-        clipped first.  Parameters with ``grad is None`` are skipped.
-        """
-        live = [p for g in self.groups for p in g.params if p.grad is not None]
-        grads = [p.grad for p in live]
-        if clip_norm is not None:
-            grads = clip_global_norm(grads, clip_norm)
-        lr_of = {id(p): g.learning_rate for g in self.groups for p in g.params}
+    def step(self, clip_norm: float):
+        """Apply one update using each parameter's current ``.grad``, after
+        clipping the global norm across all groups to ``clip_norm``."""
+        grads = clip_global_norm([p.grad for _, p, _, _ in self._state], clip_norm)
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - BETA1**t
         bc2 = 1.0 - BETA2**t
-        for p, grad in zip(live, grads):
+        for (group, p, m, v), grad in zip(self._state, grads):
             if grad.shape != p.data.shape:
                 raise ValueError(f"gradient shape {grad.shape} != {p.data.shape} for {p.name}")
-            m = self._m[id(p)]
-            v = self._v[id(p)]
             m *= BETA1
             m += (1.0 - BETA1) * grad
             v *= BETA2
             v += (1.0 - BETA2) * grad * grad
             mhat = m / bc1
             vhat = v / bc2
-            p.data -= lr_of[id(p)] * mhat / (np.sqrt(vhat) + ADAM_EPS)
+            p.data -= group.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 class EarlyStopper:

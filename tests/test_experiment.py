@@ -20,7 +20,7 @@ from aggnet.experiment import (
     train,
 )
 from aggnet.gradcheck import check_full_model
-from aggnet.model import aggregation_layer
+from aggnet.model import AGGREGATION_KINDS, ARCHS, aggregation_layer
 
 
 def tiny_config(**kw):
@@ -89,15 +89,21 @@ class TestBuildModel:
 
         assert CNN_FLAT == 8192
 
-    def test_cnn_composes_at_native_resolution(self):
-        """One forward/backward step through the full conv stack: the
-        extractor must hand exactly 8192 features to the projection."""
+    @pytest.mark.parametrize("arch, aggregation",
+                             [(a, g) for a in ARCHS for g in AGGREGATION_KINDS])
+    def test_cnn_composes_at_native_resolution(self, arch, aggregation):
+        """One forward/backward step through the full stack at 32x32: the
+        conv extractor must hand exactly 8192 features to the projection,
+        and one backward gives every parameter of either architecture, with
+        any aggregation, a grad (Adam steps over all of them)."""
         from aggnet.layers import softmax_xent
 
-        cfg = ExperimentConfig(arch="cnn", aggregation="threeway-hybrid",
+        cfg = ExperimentConfig(arch=arch, aggregation=aggregation,
                                proj_dim=16, hidden_dim=16)
         model = build_model(cfg)
         x = np.random.default_rng(0).random((2, 3, 32, 32))
+        if arch == "mlp":
+            x = x.reshape(2, -1)
         logits = model.forward(x, train=True)
         assert logits.shape == (2, 10)
         _, dlogits = softmax_xent(logits, np.array([1, 7]))
@@ -156,9 +162,7 @@ class TestTraining:
         model.parameters()[0].data[0, 0] = np.nan
         with pytest.raises(TrainingDiverged) as err:
             train(cfg, model=model)
-        assert err.value.epoch == 1
-        assert err.value.batch_index == 0
-        assert err.value.seed == cfg.seed
+        assert "at epoch 1, batch 0 (seed 0)" in str(err.value)
 
     def test_best_checkpoint_restored_for_final_eval(self):
         cfg = tiny_config(max_epochs=4, aggregation="fmean-hybrid")
@@ -585,12 +589,21 @@ class TestCLI:
         ({"clip_norm": 0}, ["cfg.json", "clip_norm", "0"]),
         ({"sched_factor": 3.0}, ["cfg.json", "sched_factor", "3.0"]),
         ({"sched_factor": 0.0}, ["cfg.json", "sched_factor", "0.0"]),
+        ({"classes": 0}, ["cfg.json", "classes", "0"]),
+        ({"classes": 1}, ["cfg.json", "classes", "1"]),
+        ({"classes": 11}, ["cfg.json", "classes", "11"]),
+        ({"max_epochs": 0}, ["cfg.json", "max_epochs", "0"]),
+        ({"early_stop_patience": -1}, ["cfg.json", "early_stop_patience", "-1"]),
+        ({"sched_patience": -3}, ["cfg.json", "sched_patience", "-3"]),
+        ({"data": "imagenet"}, ["cfg.json", "data", "'imagenet'"]),
     ])
     def test_train_refused_input(self, tmp_path, capsys, monkeypatch, override, names):
         """A missing config file, a wrongly typed field, a CIFAR-10 config
         without its batch files, a negative noise width or seed, a
-        non-positive eps or clip norm and a plateau factor outside (0, 1]
-        each exit 2 with one line, before the first epoch."""
+        non-positive eps or clip norm, a plateau factor outside (0, 1], a
+        class count outside [2, 10], no epochs, a negative patience and an
+        unknown data source each exit 2 with one line, before the first
+        epoch."""
         monkeypatch.chdir(tmp_path)
         (tmp_path / "empty").mkdir()
         if override is not None:
@@ -642,6 +655,25 @@ class TestCLI:
                      "--noise-sigma", "0.15"]) == 0
         printed = capsys.readouterr().out.splitlines()
         assert "rho --" in printed[-3] and printed[-1] == "clean 0.00%  rho --"
+
+    def test_eval_reproduces_the_run_noise(self, tmp_path, capsys):
+        """Without --noise-seed, eval at the config's noise sigma draws the
+        run's own noise: it prints the report's noisy accuracy and rho."""
+        from aggnet.cli import main
+
+        cfg = tiny_config(noise_seed=7, noise_sigma=2.0, synthetic_test=400)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(out / "best.ckpt"),
+                     "--noise-sigma", "2.0"]) == 0
+        noisy, clean = capsys.readouterr().out.splitlines()
+        assert noisy.startswith(f"accuracy {100 * report['noisy_accuracy']:.2f}%")
+        assert clean == (f"clean {100 * report['clean_accuracy']:.2f}%  "
+                         f"rho {report['rho']:.3f}")
 
     @pytest.mark.parametrize("flag, value", [("--noise-sigma", "-0.5"), ("--noise-seed", "-1")])
     def test_eval_refused_noise(self, tmp_path, capsys, flag, value):

@@ -96,7 +96,7 @@ class TestAdam:
         p = _param("W", [1.0, -2.0])
         p.grad = np.zeros(2)
         opt = Adam([ParamGroup(STANDARD, 1e-3, [p])])
-        opt.step()
+        opt.step(clip_norm=np.inf)
         np.testing.assert_array_equal(p.data, [1.0, -2.0])
 
     def test_first_step_magnitude(self):
@@ -104,7 +104,7 @@ class TestAdam:
         p = _param("W", [0.0])
         p.grad = np.ones(1)
         opt = Adam([ParamGroup(STANDARD, 1e-3, [p])])
-        opt.step()
+        opt.step(clip_norm=np.inf)
         assert p.data[0] == pytest.approx(-1e-3, rel=1e-6)
 
     def test_novel_group_moves_ten_times_further(self):
@@ -114,7 +114,7 @@ class TestAdam:
         w.grad = np.ones(1)
         q.grad = np.ones(1)
         opt = Adam(build_param_groups([w, q], 1e-3, 1e-2))
-        opt.step()
+        opt.step(clip_norm=np.inf)
         assert q.data[0] == pytest.approx(10.0 * w.data[0], rel=1e-12)
 
     def test_bitwise_reproducible(self):
@@ -134,7 +134,7 @@ class TestAdam:
         p.grad = np.zeros(3)
         opt = Adam([ParamGroup(STANDARD, 1e-3, [p])])
         with pytest.raises(ValueError):
-            opt.step()
+            opt.step(clip_norm=np.inf)
 
 
 class TestPlateauScheduler:

@@ -1,0 +1,75 @@
+"""Print a JSON digest of every deterministic output of this checkout.
+
+Run from a checkout (``python3 tools/output_digest.py``); it imports that
+checkout's own ``src`` and prints:
+
+- for five small synthetic runs (the four MLP aggregations and the CNN
+  baseline; proj_dim 16, 3 epochs, batch 16), the sha256 of
+  ``metrics.csv``, of ``best.ckpt`` and of ``report.json`` with its
+  ``wall_clock_sec`` removed;
+- the ``repr`` of the worst relative error of each of the nine gradcheck
+  checks at 5 cases.
+
+Two checkouts produce the same outputs byte for byte when their digests
+are equal, so a change that should not move any number is checked with::
+
+    python3 tools/output_digest.py > after.json
+    (cd ../parent && python3 tools/output_digest.py) > before.json
+    diff before.json after.json
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from aggnet import gradcheck  # noqa: E402
+from aggnet.experiment import ExperimentConfig, train  # noqa: E402
+
+RUNS = [("mlp", agg) for agg in ("baseline", "fmean-hybrid", "gaussian-hybrid",
+                                 "threeway-hybrid")] + [("cnn", "baseline")]
+GRADCHECK_CASES = 5
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_digest(arch: str, aggregation: str, out: Path) -> dict:
+    config = ExperimentConfig(
+        arch=arch, aggregation=aggregation, data="synthetic", proj_dim=16, hidden_dim=16,
+        batch_size=16, max_epochs=3, seed=0,
+        synthetic_train=128, synthetic_val=32, synthetic_test=32,
+    )
+    train(config, out_dir=out)
+    report = json.loads((out / "report.json").read_text())
+    del report["wall_clock_sec"]
+    return {
+        "metrics.csv": _sha256((out / "metrics.csv").read_bytes()),
+        "best.ckpt": _sha256((out / "best.ckpt").read_bytes()),
+        "report.json": _sha256(json.dumps(report, sort_keys=True).encode()),
+    }
+
+
+def gradcheck_digest() -> dict:
+    errors = {label: repr(check(GRADCHECK_CASES))
+              for checks in gradcheck.MODULES.values() for label, check in checks}
+    errors["full model"] = repr(gradcheck.check_full_model())
+    return errors
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = {f"{arch}-{agg}": run_digest(arch, agg, Path(tmp) / f"{arch}-{agg}")
+                for arch, agg in RUNS}
+    print(json.dumps({"runs": runs, "gradcheck": gradcheck_digest()}, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -58,8 +58,7 @@ def _cmd_eval(args) -> int:
     print(f"accuracy {100 * acc:.2f}%  (noise sigma {args.noise_sigma})")
     if noise is not None:
         clean = evaluate(model, test, config.arch)
-        rho = robustness_score(clean, acc) if clean > 0 else None
-        print(f"clean {100 * clean:.2f}%  rho {rho_text(rho)}")
+        print(f"clean {100 * clean:.2f}%  rho {rho_text(robustness_score(clean, acc))}")
     return 0
 
 

@@ -44,8 +44,11 @@ class TrainingDiverged(RuntimeError):
     the batch or validation, and the seed."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """One run's settings, immutable: each field but ``data_dir`` is checked by name (NaN
+    refused) at construction, and ``dataclasses.replace`` builds a checked copy."""
+
     arch: str = "mlp"
     aggregation: str = "baseline"
     data: str = "synthetic"
@@ -84,17 +87,19 @@ class ExperimentConfig:
             )
         default_width = 128 if self.arch == "mlp" else 256
         if self.proj_dim is None:
-            self.proj_dim = default_width
+            object.__setattr__(self, "proj_dim", default_width)
         if self.hidden_dim is None:
-            self.hidden_dim = self.proj_dim
-        if self.proj_dim <= 0 or self.hidden_dim <= 0:
-            raise ValueError("widths must be positive")
+            object.__setattr__(self, "hidden_dim", self.proj_dim)
         if not 2 <= self.classes <= datamod.NUM_CLASSES:
             raise ValueError(f"classes must be in [2, {datamod.NUM_CLASSES}], "
                              f"got {self.classes!r}")
-        if not self.max_epochs >= 1:
-            raise ValueError(f"max_epochs must be at least 1, got {self.max_epochs!r}")
-        for name in ("noise_sigma", "noise_seed", "early_stop_patience", "sched_patience"):
+        for name in ("proj_dim", "hidden_dim", "max_epochs", "batch_size", "val_size",
+                     "synthetic_train", "synthetic_val", "synthetic_test"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
+        for name in ("seed", "lr_standard", "lr_novel", "sched_min_delta", "sched_min_lr",
+                     "synthetic_sigma", "noise_sigma", "noise_seed", "early_stop_patience",
+                     "sched_patience"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)!r}")
         for name in ("eps", "clip_norm"):
@@ -182,22 +187,20 @@ def _prepare_input(images: np.ndarray, arch: str) -> np.ndarray:
 
 
 def load_datasets(config: ExperimentConfig):
-    """Return (train, val, test) datasets per the config's data source."""
+    """Return (train, val, test) datasets per the config's data source,
+    which ``ExperimentConfig`` has already checked to be one it knows."""
     if config.data == "cifar10":
         train, test = datamod.load_cifar10(config.data_dir)
         train, val = datamod.train_val_split(train, config.val_size, config.seed)
         return train, val, test
-    if config.data == "synthetic":
-        n = config.synthetic_train + config.synthetic_val + config.synthetic_test
-        full = datamod.make_synthetic(
-            n, config.classes, seed=config.seed, sigma_blob=config.synthetic_sigma
-        )
-        a = config.synthetic_train
-        b = a + config.synthetic_val
-        return tuple(datamod.Dataset(full.images[lo:hi], full.labels[lo:hi], split=split)
-                     for split, lo, hi in (("train", 0, a), ("val", a, b), ("test", b, None)))
-    # reached only by a config whose data field was set after construction
-    raise ValueError(f"unknown data source {config.data!r}")
+    n = config.synthetic_train + config.synthetic_val + config.synthetic_test
+    full = datamod.make_synthetic(
+        n, config.classes, seed=config.seed, sigma_blob=config.synthetic_sigma
+    )
+    a = config.synthetic_train
+    b = a + config.synthetic_val
+    return tuple(datamod.Dataset(full.images[lo:hi], full.labels[lo:hi], split=split)
+                 for split, lo, hi in (("train", 0, a), ("val", a, b), ("test", b, None)))
 
 
 def _eval_batches(model: Model, images, labels, arch: str, batch_size: int):
@@ -226,11 +229,10 @@ def validation_loss(model: Model, dataset, arch: str):
     return total / len(dataset), correct / len(dataset)
 
 
-def robustness_score(clean_acc: float, noisy_acc: float) -> float:
-    """Noisy accuracy divided by clean accuracy (scale-invariant)."""
-    if clean_acc <= 0:
-        raise ZeroDivisionError("robustness score undefined for clean accuracy 0")
-    return noisy_acc / clean_acc
+def robustness_score(clean_acc: float, noisy_acc: float) -> float | None:
+    """Noisy accuracy divided by clean accuracy (scale-invariant), or
+    ``None`` where it is undefined: a clean accuracy of 0."""
+    return noisy_acc / clean_acc if clean_acc > 0 else None
 
 
 def param_summary(model: Model) -> dict:
@@ -297,8 +299,7 @@ def train(config: ExperimentConfig, out_dir=None, datasets=None,
     )
     stopper = EarlyStopper(patience=config.early_stop_patience,
                            min_delta=config.sched_min_delta)
-    report = RunReport(config=config.to_dict(), seed=config.seed, best_epoch=0)
-    best_state = model.state()
+    report = RunReport(config=config.to_dict(), seed=config.seed)
 
     for epoch in range(1, config.max_epochs + 1):
         losses = []
@@ -329,7 +330,7 @@ def train(config: ExperimentConfig, out_dir=None, datasets=None,
             log(f"epoch {epoch:3d}  train {np.mean(losses):.4f}  "
                 f"val {val_loss:.4f}  acc {val_acc:.4f}")
         stop = stopper.step(val_loss)
-        if stopper.best_epoch == epoch:
+        if stopper.best_epoch == epoch:  # always so at epoch 1
             best_state = model.state()
             report.best_epoch = epoch
         scheduler.step(val_loss)
@@ -341,8 +342,7 @@ def train(config: ExperimentConfig, out_dir=None, datasets=None,
     report.clean_accuracy = evaluate(model, test_ds, config.arch)
     noise = datamod.NoiseSpec(sigma_noise=config.noise_sigma, seed=config.noise_seed)
     report.noisy_accuracy = evaluate(model, test_ds, config.arch, noise=noise)
-    if report.clean_accuracy > 0:  # otherwise rho is undefined and stays None
-        report.rho = robustness_score(report.clean_accuracy, report.noisy_accuracy)
+    report.rho = robustness_score(report.clean_accuracy, report.noisy_accuracy)
     report.wall_clock_sec = time.perf_counter() - t0
 
     if out_dir is not None:

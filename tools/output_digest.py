@@ -7,6 +7,8 @@ checkout's own ``src`` and prints:
   baseline; proj_dim 16, 3 epochs, batch 16), the sha256 of
   ``metrics.csv``, of ``best.ckpt`` and of ``report.json`` with its
   ``wall_clock_sec`` removed;
+- the stdout of ``aggnet eval`` on the threeway MLP run's ``best.ckpt``,
+  at ``--noise-sigma 0`` and at the config's own noise sigma;
 - the ``repr`` of the worst relative error of each of the nine gradcheck
   checks at 5 cases.
 
@@ -20,7 +22,9 @@ are equal, so a change that should not move any number is checked with::
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -28,9 +32,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from aggnet import gradcheck  # noqa: E402
+from aggnet import cli, gradcheck  # noqa: E402
 from aggnet.experiment import ExperimentConfig, train  # noqa: E402
 
+EVAL_RUN = ("mlp", "threeway-hybrid")
 RUNS = [("mlp", agg) for agg in ("baseline", "fmean-hybrid", "gaussian-hybrid",
                                  "threeway-hybrid")] + [("cnn", "baseline")]
 GRADCHECK_CASES = 5
@@ -38,6 +43,14 @@ GRADCHECK_CASES = 5
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def eval_stdout(checkpoint: Path, noise_sigma: float) -> str:
+    """What ``aggnet eval`` prints for a checkpoint at one noise sigma."""
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        code = cli.main(["eval", "--checkpoint", str(checkpoint),
+                         "--noise-sigma", str(noise_sigma)])
+    return f"exit {code}: {stdout.getvalue()}"
 
 
 def run_digest(arch: str, aggregation: str, out: Path) -> dict:
@@ -49,11 +62,15 @@ def run_digest(arch: str, aggregation: str, out: Path) -> dict:
     train(config, out_dir=out)
     report = json.loads((out / "report.json").read_text())
     del report["wall_clock_sec"]
-    return {
+    digest = {
         "metrics.csv": _sha256((out / "metrics.csv").read_bytes()),
         "best.ckpt": _sha256((out / "best.ckpt").read_bytes()),
         "report.json": _sha256(json.dumps(report, sort_keys=True).encode()),
     }
+    if (arch, aggregation) == EVAL_RUN:
+        digest["eval"] = [eval_stdout(out / "best.ckpt", sigma)
+                          for sigma in (0.0, config.noise_sigma)]
+    return digest
 
 
 def gradcheck_digest() -> dict:

@@ -300,22 +300,17 @@ class HybridLayer(Layer):
             self.alpha_raw.grad = soft * (g - (soft * g).sum(axis=-1, keepdims=True))
 
         dz = None
-        for i, (path, cache) in enumerate(zip(self.paths, caches)):
-            d = upstream * blend[i]
+        for path, cache, weight in zip(self.paths, caches, blend):
+            d = upstream * weight
             if path == LINEAR:
-                dz = np.empty_like(z)
-                dz[...] = d[..., None]
-                continue
-            if path == FMEAN:
-                dz_path, dp_rows = _fmean_grads(z, self.p.data[None, :], cache, d)
+                part = d[..., None]
+            elif path == FMEAN:
+                part, dp_rows = _fmean_grads(z, self.p.data[None, :], cache, d)
                 self.p.grad = dp_rows.sum(axis=0)
             else:
-                dz_path, dls_rows = _gaussian_grads(z, cache, d)
+                part, dls_rows = _gaussian_grads(z, cache, d)
                 self.log_sigma.grad = dls_rows.sum(axis=0)
-            if dz is None:
-                dz = dz_path
-            else:
-                dz += dz_path
+            dz = part if dz is None else np.add(part, dz, out=part)  # IEEE addition commutes
 
         self.W.grad = np.einsum("bun,bn->un", dz, x)
         return np.einsum("bun,un->bn", dz, self.W.data)

@@ -44,7 +44,7 @@ def _cmd_eval(args) -> int:
         raise ValueError(f"checkpoint {args.checkpoint}: no config echo to rebuild from")
     config = ExperimentConfig.from_dict(cfg_dict)
     # the run's own noise seed unless one is given; the config's own checks
-    # refuse a negative width or seed
+    # refuse a negative or infinite width and a negative seed
     noise_cfg = dataclasses.replace(
         config, noise_sigma=args.noise_sigma,
         noise_seed=config.noise_seed if args.noise_seed is None else args.noise_seed)

@@ -46,8 +46,8 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One run's settings, immutable: each field but ``data_dir`` is checked by name (NaN
-    refused) at construction, and ``dataclasses.replace`` builds a checked copy."""
+    """One run's settings, immutable: each field but ``data_dir`` is checked by name (a
+    float must be finite) at construction; ``dataclasses.replace`` builds a checked copy."""
 
     arch: str = "mlp"
     aggregation: str = "baseline"
@@ -90,9 +90,10 @@ class ExperimentConfig:
             object.__setattr__(self, "proj_dim", default_width)
         if self.hidden_dim is None:
             object.__setattr__(self, "hidden_dim", self.proj_dim)
-        if not 2 <= self.classes <= datamod.NUM_CLASSES:
-            raise ValueError(f"classes must be in [2, {datamod.NUM_CLASSES}], "
-                             f"got {self.classes!r}")
+        low = datamod.NUM_CLASSES if self.data == "cifar10" else 2
+        if not low <= self.classes <= datamod.NUM_CLASSES:
+            raise ValueError(f"classes must be in [{low}, {datamod.NUM_CLASSES}] with data "
+                             f"{self.data}, got {self.classes!r}")
         for name in ("proj_dim", "hidden_dim", "max_epochs", "batch_size", "val_size",
                      "synthetic_train", "synthetic_val", "synthetic_test"):
             if not getattr(self, name) >= 1:
@@ -107,6 +108,9 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         if not 0 < self.sched_factor <= 1:
             raise ValueError(f"sched_factor must be in (0, 1], got {self.sched_factor!r}")
+        for name, hint in typing.get_type_hints(type(self)).items():
+            if hint is float and not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
 
     @classmethod
     def from_dict(cls, d) -> "ExperimentConfig":

@@ -16,8 +16,7 @@ import time
 import numpy as np
 
 from .aggregation import FMeanLayer, GaussianSupportLayer, HybridLayer
-from .layers import (ConvLayer, LinearLayer, MaxPool2x2Layer, ReLULayer, pool_windows,
-                     softmax_xent)
+from .layers import ConvLayer, LinearLayer, MaxPool2x2Layer, ReLULayer, pool_views, softmax_xent
 from .model import AGGREGATION_KINDS, build_mlp
 from .ops import sigmoid, softmax, softplus
 
@@ -128,8 +127,8 @@ def check_pool(cases: int = CASES, rng=None):
 
 def _pool_margin(x: np.ndarray) -> float:
     """Smallest gap between the top two entries of any 2x2 window."""
-    win = np.sort(pool_windows(x).reshape(-1, 4), axis=-1)
-    return float(np.min(win[:, 3] - win[:, 2]))
+    win = np.sort(np.stack(pool_views(x)), axis=0)
+    return float(np.min(win[3] - win[2]))
 
 
 def check_loss(cases: int = CASES, rng=None):

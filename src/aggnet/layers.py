@@ -162,36 +162,38 @@ class ConvLayer(Layer):
                          self.kernels.data[:, :, ::-1, ::-1], optimize=True)
 
 
-def pool_windows(x: np.ndarray) -> np.ndarray:
-    """(B, C, H, W) -> (B, C, H/2, W/2, 4): each 2x2 window in row-major order."""
-    B, C, H, W = x.shape
-    if H % 2 or W % 2:
-        raise ShapeError(f"spatial dims must be even, got {x.shape}")
-    win = x.reshape(B, C, H // 2, 2, W // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    return win.reshape(B, C, H // 2, W // 2, 4)
+def pool_views(x: np.ndarray) -> list[np.ndarray]:
+    """The views x[:, :, i::2, j::2], one per 2x2-window entry, in row-major order."""
+    if x.ndim != 4 or x.shape[2] % 2 or x.shape[3] % 2:
+        raise ShapeError(f"expected (batch, C, H, W) with H and W even, got {x.shape}")
+    return [x[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]
 
 
 class MaxPool2x2Layer(Layer):
-    """2x2 max pooling, stride 2; gradient routes to the window argmax.
-
-    Ties go to the first position in row-major window order.
-    """
+    """2x2 max pooling, stride 2; gradient routes to each window's first maximum in
+    row-major order.  ``np.maximum`` returns its second operand on a -0.0/+0.0 tie,
+    so an output zero takes the later entry's sign; ReLU outputs are never -0.0."""
 
     def forward(self, x, train: bool = True):
         x = as_tensor(x)
-        win = pool_windows(x)
-        idx = np.argmax(win, axis=-1)
+        views = pool_views(x)
+        out = np.maximum(views[0], views[1])
+        for view in views[2:]:
+            np.maximum(out, view, out=out)
         if train:
-            self._cache = idx
-        return np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+            free, masks = np.ones(out.shape, dtype=bool), []
+            for view in views:
+                masks.append(free & (view == out))
+                free &= ~masks[-1]
+            self._cache = x.shape, masks
+        return out
 
     def backward(self, upstream):
-        idx = self._take_cache()
-        B, C, h, w = idx.shape
-        dwin = np.zeros((B, C, h, w, 4))
-        np.put_along_axis(dwin, idx[..., None], as_tensor(upstream)[..., None], axis=-1)
-        dwin = dwin.reshape(B, C, h, w, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        return dwin.reshape(B, C, 2 * h, 2 * w)
+        shape, masks = self._take_cache()
+        dx = np.zeros(shape)
+        for view, mask in zip(pool_views(dx), masks):
+            np.copyto(view, upstream, where=mask)
+        return dx
 
 
 def softmax_xent(logits, labels):

@@ -610,7 +610,12 @@ class TestCLI:
         ({"sched_min_lr": -1.0}, ["cfg.json", "sched_min_lr", "-1.0"]),
         ({"seed": -1}, ["cfg.json", "seed", "-1"]),
     ] + [({name: math.nan}, ["cfg.json", name, "nan"])
-         for name, hint in typing.get_type_hints(ExperimentConfig).items() if hint is float])
+         for name, hint in typing.get_type_hints(ExperimentConfig).items() if hint is float]
+      + [({name: value}, ["cfg.json", name, repr(value)])
+         for name, hint in typing.get_type_hints(ExperimentConfig).items() if hint is float
+         for value in (math.inf, -math.inf)]
+      + [({"data": "cifar10", "data_dir": "empty", "classes": 5},
+          ["cfg.json", "classes", "5", "cifar10"])])
     def test_train_refused_input(self, tmp_path, capsys, monkeypatch, override, names):
         """A missing config file, a wrongly typed field, a CIFAR-10 config
         without its batch files, a negative noise width or seed, a
@@ -618,9 +623,10 @@ class TestCLI:
         class count outside [2, 10], no epochs, a negative patience, an
         unknown data source, a batch size, validation size or synthetic
         split size of 0, a negative synthetic blob width, learning rate,
-        plateau delta, rate floor or seed, and NaN in any float field each
-        exit 2 with one line, before the first epoch; a refused field is
-        named together with its file."""
+        plateau delta, rate floor or seed, NaN, Infinity or -Infinity in
+        any float field, and a CIFAR-10 config with other than 10 classes
+        each exit 2 with one line, before the first epoch and before any
+        data is read; a refused field is named together with its file."""
         monkeypatch.chdir(tmp_path)
         (tmp_path / "empty").mkdir()
         if override is not None:
@@ -692,10 +698,12 @@ class TestCLI:
         assert clean == (f"clean {100 * report['clean_accuracy']:.2f}%  "
                          f"rho {report['rho']:.3f}")
 
-    @pytest.mark.parametrize("flag, value", [("--noise-sigma", "-0.5"), ("--noise-seed", "-1")])
+    @pytest.mark.parametrize("flag, value", [("--noise-sigma", "-0.5"), ("--noise-seed", "-1"),
+                                             ("--noise-sigma", "inf")])
     def test_eval_refused_noise(self, tmp_path, capsys, flag, value):
-        """A negative noise width or seed on the command line is refused by
-        the config's own check: exit 2, one line, nothing evaluated."""
+        """A negative noise width or seed, or an infinite noise width, on the
+        command line is refused by the config's own check: exit 2, one line,
+        nothing evaluated."""
         from aggnet.checkpoint import save_checkpoint
 
         cfg = tiny_config()

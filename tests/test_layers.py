@@ -180,6 +180,35 @@ class TestMaxPool:
         dx = layer.backward(np.array([[[[7.0]]]]))
         np.testing.assert_array_equal(dx[0, 0], [[7.0, 0.0], [0.0, 0.0]])
 
+    def test_tied_maximum_routes_to_first_tied_entry(self):
+        """Four windows of one map tie at entries (1, 3), at (2, 3), at two
+        +0.0 entries (1, 3) and at all four +0.0: each window's gradient
+        goes to its first tied entry in row-major order and nowhere else."""
+        windows = ([0.0, 5.0, 1.0, 5.0], [0.0, 1.0, 5.0, 5.0],
+                   [-1.0, 0.0, -2.0, 0.0], [0.0, 0.0, 0.0, 0.0])
+        first = (1, 2, 1, 0)
+        x = np.zeros((1, 1, 4, 4))
+        expected = np.zeros((1, 1, 4, 4))
+        up = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
+        for k, (window, entry) in enumerate(zip(windows, first)):
+            i, j = divmod(k, 2)
+            x[0, 0, 2 * i:2 * i + 2, 2 * j:2 * j + 2] = np.reshape(window, (2, 2))
+            expected[0, 0, 2 * i + entry // 2, 2 * j + entry % 2] = up[0, 0, i, j]
+        layer = MaxPool2x2Layer()
+        np.testing.assert_array_equal(layer.forward(x)[0, 0], [[5.0, 5.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(layer.backward(up), expected)
+
+    def test_allocations(self, traced_peak):
+        """Forward holds at most 0.6 input-sizes at once (measured 0.47: the
+        output and four boolean masks), backward at most 1.1 (measured 1.00:
+        dx alone); a transposed window copy, as in a (B, C, h, w, 4)
+        layout, would cost a whole input-size more in each."""
+        x = np.maximum(np.random.default_rng(10).standard_normal((8, 16, 32, 32)), 0.0)
+        layer = MaxPool2x2Layer()
+        assert traced_peak(lambda: layer.forward(x)) <= 0.6 * x.nbytes
+        up = np.ones((8, 16, 16, 16))
+        assert traced_peak(lambda: layer.backward(up)) <= 1.1 * x.nbytes
+
     def test_gradient_mass_conserved(self):
         """sum(dx) == sum(upstream) for random inputs."""
         rng = np.random.default_rng(8)
@@ -192,8 +221,10 @@ class TestMaxPool:
             assert dx.sum() == pytest.approx(up.sum(), abs=1e-12)
 
     def test_odd_size_rejected(self):
-        with pytest.raises(ShapeError):
-            MaxPool2x2Layer().forward(np.zeros((1, 1, 3, 4)))
+        """An odd spatial size, or an input that is not (B, C, H, W)."""
+        for shape in ((1, 1, 3, 4), (1, 4, 4)):
+            with pytest.raises(ShapeError):
+                MaxPool2x2Layer().forward(np.zeros(shape))
 
 
 class TestReLU:

@@ -10,7 +10,12 @@ checkout's own ``src`` and prints:
 - the stdout of ``aggnet eval`` on the threeway MLP run's ``best.ckpt``,
   at ``--noise-sigma 0`` and at the config's own noise sigma;
 - the ``repr`` of the worst relative error of each of the nine gradcheck
-  checks at 5 cases.
+  checks at 5 cases;
+- at the paper's shapes, with fixed seeds, the sha256 of the raw bytes
+  (signed zeros included) of one threeway ``HybridLayer(128, 128)``
+  forward at batch 128, its backward ``dx`` and every parameter grad, and
+  of one ``MaxPool2x2Layer`` forward and backward on ReLU'd
+  (128, 64, 32, 32) input.
 
 Two checkouts produce the same outputs byte for byte when their digests
 are equal, so a change that should not move any number is checked with::
@@ -32,8 +37,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+import numpy as np  # noqa: E402
+
 from aggnet import cli, gradcheck  # noqa: E402
+from aggnet.aggregation import HybridLayer  # noqa: E402
 from aggnet.experiment import ExperimentConfig, train  # noqa: E402
+from aggnet.layers import NOVEL, MaxPool2x2Layer  # noqa: E402
 
 EVAL_RUN = ("mlp", "threeway-hybrid")
 RUNS = [("mlp", agg) for agg in ("baseline", "fmean-hybrid", "gaussian-hybrid",
@@ -80,11 +89,34 @@ def gradcheck_digest() -> dict:
     return errors
 
 
+def _layer_pass(layer, x, rng) -> dict:
+    """sha256 of one forward, its backward's dx and each parameter grad."""
+    out = layer.forward(x)
+    dx = layer.backward(rng.standard_normal(out.shape))
+    digest = {"forward": _sha256(out.tobytes()), "dx": _sha256(dx.tobytes())}
+    digest.update({p.name: _sha256(p.grad.tobytes()) for p in layer.params()})
+    return digest
+
+
+def layers_digest() -> dict:
+    """The threeway slot and the pool at the paper's shapes; the novel
+    parameters are moved off their initial values so no blend weight is 1/3."""
+    rng = np.random.default_rng(2026)
+    hybrid = HybridLayer(128, 128, "threeway-hybrid", rng)
+    for param in hybrid.params():
+        if param.tag == NOVEL:
+            param.data = param.data + rng.uniform(-0.5, 0.5, param.data.shape)
+    pool_input = np.maximum(rng.standard_normal((128, 64, 32, 32)), 0.0)
+    return {"threeway-hybrid": _layer_pass(hybrid, rng.standard_normal((128, 128)), rng),
+            "maxpool2x2": _layer_pass(MaxPool2x2Layer(), pool_input, rng)}
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         runs = {f"{arch}-{agg}": run_digest(arch, agg, Path(tmp) / f"{arch}-{agg}")
                 for arch, agg in RUNS}
-    print(json.dumps({"runs": runs, "gradcheck": gradcheck_digest()}, indent=2))
+    print(json.dumps({"runs": runs, "gradcheck": gradcheck_digest(),
+                      "layers": layers_digest()}, indent=2))
     return 0
 
 

@@ -73,6 +73,10 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_fetch_data(args) -> int:
+    if args.sha256 == "":
+        raise ValueError("--sha256 needs a digest, got an empty one")
+    if args.sha256 is not None and args.skip_checksum:
+        raise ValueError("--sha256 and --skip-checksum conflict: give one or neither")
     sha = None if args.skip_checksum else (args.sha256 or datamod.CIFAR10_SHA256)
     where = datamod.fetch_cifar10(args.dir, sha256=sha)
     print(f"CIFAR-10 binaries available under {where}")

@@ -14,7 +14,6 @@ import os
 import shutil
 import tarfile
 import tempfile
-import urllib.request
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -182,6 +181,8 @@ def fetch_cifar10(data_dir, url: str = CIFAR10_URL, sha256: str | None = CIFAR10
     a temporary name and the archive unpacks into a temporary directory,
     each moved into place once complete.
     """
+    import urllib.request  # here, not at module level: it loads http.client and ssl
+
     d = Path(data_dir)
     d.mkdir(parents=True, exist_ok=True)
     probe = d / "cifar-10-batches-bin" / TEST_FILE

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 import time
 import typing
 from dataclasses import asdict, dataclass, field
@@ -46,8 +47,8 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One run's settings, immutable: each field but ``data_dir`` is checked by name (a
-    float must be finite) at construction; ``dataclasses.replace`` builds a checked copy."""
+    """One run's settings, immutable.  Every construction (``from_dict``, a direct call,
+    ``dataclasses.replace``) checks each field by name: first its type, then its range."""
 
     arch: str = "mlp"
     aggregation: str = "baseline"
@@ -77,6 +78,13 @@ class ExperimentConfig:
     synthetic_sigma: float = 0.08
 
     def __post_init__(self):
+        for name, hint in typing.get_type_hints(type(self)).items():
+            value, types = getattr(self, name), typing.get_args(hint) or (hint,)
+            real = float in types  # also takes an int, and must be finite; a bool is no number
+            if (isinstance(value, bool) or not isinstance(value, types + (int,) * real)
+                    or real and not abs(value) <= sys.float_info.max):
+                raise ValueError(f"config field {name} must be {'finite ' * real}"
+                                 f"{self.__annotations__[name]}, got {value!r}")
         if self.arch not in ARCHS:
             raise ValueError(f"arch must be one of {ARCHS}, got {self.arch!r}")
         if self.data not in DATA_SOURCES:
@@ -108,25 +116,16 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         if not 0 < self.sched_factor <= 1:
             raise ValueError(f"sched_factor must be in (0, 1], got {self.sched_factor!r}")
-        for name, hint in typing.get_type_hints(type(self)).items():
-            if hint is float and not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
 
     @classmethod
     def from_dict(cls, d) -> "ExperimentConfig":
-        """Check a config from a file, a checkpoint echo or a sweep row, then
-        build it.  A float field also takes an int; a bool is never a number."""
+        """Build a config from a file, a checkpoint echo or a sweep row, which
+        must be an object naming only config fields."""
         if not isinstance(d, dict):
             raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
-        hints = typing.get_type_hints(cls)
-        unknown = sorted(set(d) - set(hints))
+        unknown = sorted(set(d) - set(cls.__annotations__))
         if unknown:
             raise ValueError(f"unknown config fields: {', '.join(unknown)}")
-        for name, value in d.items():
-            types = typing.get_args(hints[name]) or (hints[name],)
-            if isinstance(value, bool) or not isinstance(value, types + (int,) * (float in types)):
-                raise ValueError(f"config field {name} must be {cls.__annotations__[name]}, "
-                                 f"got {value!r}")
         return cls(**d)
 
     def to_dict(self) -> dict:
@@ -369,16 +368,21 @@ def sweep(matrix: dict, out_dir=None, log=None) -> list[dict]:
     """Train every (arch, aggregation, seed) combination in the matrix.
 
     ``matrix`` holds optional ``archs``, ``aggregations`` and ``seeds`` lists
-    and any other ExperimentConfig overrides.  A bad matrix raises ValueError
-    before any row runs; a failed run is recorded and the sweep continues.
+    and any other ExperimentConfig overrides.  A bad matrix, a repeated axis
+    value included, raises ValueError before any row runs; a failed run is
+    recorded and the sweep continues.
     """
     if not isinstance(matrix, dict):
         raise ValueError(f"sweep matrix must be a JSON object, got {type(matrix).__name__}")
     for axis, name in (("archs", "arch"), ("aggregations", "aggregation"), ("seeds", "seed")):
         if name in matrix:
             raise ValueError(f"sweep matrix sets {name}; list its values under {axis}")
-        if not isinstance(matrix.get(axis, []), list):
-            raise ValueError(f"sweep matrix {axis} must be a list, got {matrix[axis]!r}")
+        values = matrix.get(axis, [])
+        if not isinstance(values, list):
+            raise ValueError(f"sweep matrix {axis} must be a list, got {values!r}")
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:  # the two rows would train into one run directory
+            raise ValueError(f"sweep matrix {axis} repeats {repeated[0]!r}")
     archs = matrix.get("archs", list(ARCHS))
     aggregations = matrix.get("aggregations", list(AGGREGATION_KINDS))
     seeds = matrix.get("seeds", [0])

@@ -1,10 +1,14 @@
 """Binary format round-trips, noise statistics, splits and batching."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aggnet
 from aggnet.data import (
     DataFormatError,
     Dataset,
@@ -390,3 +394,15 @@ class TestFetch:
         with pytest.raises(DataFormatError, match="cannot filter"):
             fetch_cifar10(dest, sha256=digest)
         assert not (dest / "cifar-10-batches-bin").exists()
+
+    def test_import_leaves_the_downloader_unloaded(self):
+        """``import aggnet`` loads no network module; ``fetch_cifar10``
+        imports ``urllib.request`` itself when it runs."""
+        src = str(Path(aggnet.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = ("import sys, aggnet; "
+                "print(sorted({'urllib.request', 'http.client', 'ssl'} & set(sys.modules)))")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert done.stdout.strip() == "[]"

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import typing
 
 import numpy as np
@@ -65,6 +66,20 @@ class TestConfigFromDict:
         bool is never a number; the message names the field and value."""
         with pytest.raises(ValueError, match=f"config field {field} must be .*{value!r}"):
             ExperimentConfig.from_dict({field: value})
+
+    @pytest.mark.parametrize("build", [
+        ExperimentConfig, lambda **kw: dataclasses.replace(tiny_config(), **kw),
+    ], ids=["init", "replace"])
+    @pytest.mark.parametrize("field, value", [
+        ("seed", True), ("proj_dim", 8.0), ("lr_standard", "1e-3"), ("data_dir", 3),
+        ("max_epochs", 2.5),
+    ])
+    def test_wrong_type_refused_outside_from_dict(self, build, field, value):
+        """A config built in code or by ``dataclasses.replace`` meets the
+        same type rules as one read from JSON."""
+        with pytest.raises(ValueError, match=re.escape(f"config field {field} must be ")
+                           + f".*{re.escape(repr(value))}"):
+            build(**{field: value})
 
 
 class TestBuildModel:
@@ -615,7 +630,8 @@ class TestCLI:
          for name, hint in typing.get_type_hints(ExperimentConfig).items() if hint is float
          for value in (math.inf, -math.inf)]
       + [({"data": "cifar10", "data_dir": "empty", "classes": 5},
-          ["cfg.json", "classes", "5", "cifar10"])])
+          ["cfg.json", "classes", "5", "cifar10"]),
+         ({"lr_novel": 10**400}, ["cfg.json", "lr_novel", "finite"])])
     def test_train_refused_input(self, tmp_path, capsys, monkeypatch, override, names):
         """A missing config file, a wrongly typed field, a CIFAR-10 config
         without its batch files, a negative noise width or seed, a
@@ -624,9 +640,10 @@ class TestCLI:
         unknown data source, a batch size, validation size or synthetic
         split size of 0, a negative synthetic blob width, learning rate,
         plateau delta, rate floor or seed, NaN, Infinity or -Infinity in
-        any float field, and a CIFAR-10 config with other than 10 classes
-        each exit 2 with one line, before the first epoch and before any
-        data is read; a refused field is named together with its file."""
+        any float field, a CIFAR-10 config with other than 10 classes, and
+        an integer too large for a float field each exit 2 with one line,
+        before the first epoch and before any data is read; a refused field
+        is named together with its file."""
         monkeypatch.chdir(tmp_path)
         (tmp_path / "empty").mkdir()
         if override is not None:
@@ -723,16 +740,34 @@ class TestCLI:
         ('["mlp"]', ["matrix", "JSON object", "list"]),
         ('{"seeds": 3}', ["seeds", "must be a list", "3"]),
         ('{"arch": "cnn"}', ["arch", "archs"]),
+        ('{"seeds": [0, 1, 0]}', ["seeds", "repeats", "0"]),
+        ('{"archs": ["mlp", "mlp"]}', ["archs", "repeats", "'mlp'"]),
+        ('{"aggregations": ["baseline", "baseline"]}', ["aggregations", "repeats", "'baseline'"]),
     ])
-    def test_sweep_refused_matrix(self, tmp_path, capsys, text, names):
-        """A missing, malformed or non-object matrix, a non-list axis, or a
-        field the axes set exits 2 with one line before any row runs."""
+    def test_sweep_refused_matrix(self, tmp_path, capsys, monkeypatch, text, names):
+        """A missing, malformed or non-object matrix, a non-list axis, a
+        field the axes set, or an axis that repeats a value (its rows would
+        share one run directory) exits 2 with one line before any row runs."""
+        monkeypatch.setattr("aggnet.experiment.train",
+                            lambda *a, **kw: pytest.fail("a sweep row ran"))
         mpath = tmp_path / "matrix.json"
         if text is not None:
             mpath.write_text(text)
         out = tmp_path / "s"
         self._refused(["sweep", "--matrix", str(mpath), "--out", str(out)], capsys, *names)
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--sha256", "ab" * 32, "--skip-checksum"],
+                                       ["--sha256", ""]])
+    def test_fetch_data_refused_flags(self, tmp_path, capsys, monkeypatch, flags):
+        """A digest together with --skip-checksum, or an empty digest, exits
+        2 with one line naming the flags, before any download or directory."""
+        monkeypatch.setattr("aggnet.data.fetch_cifar10",
+                            lambda *a, **kw: pytest.fail("fetch_cifar10 was called"))
+        dest = tmp_path / "data"
+        out = self._refused(["fetch-data", "--dir", str(dest), *flags], capsys,
+                            *[f for f in flags if f.startswith("--")])
+        assert out == "" and not dest.exists()
 
     def test_sweep_verb(self, tmp_path):
         from aggnet.cli import main

@@ -26,12 +26,19 @@ coefficients.
 The pairwise-affinity pass is the only O(n^2) piece.  It is reduced to
 three row moments (sum of affinities, affinity-weighted z and z^2) by one
 chunked numpy kernel: each chunk of rows builds its n x n affinity blocks
-in place in a reused buffer and takes all three moments with one batched
-matmul.  The backward pass needs only those moments, never the full
-matrix.
+in place in a reused buffer, the differences by a copy and an in-place
+subtract, and takes all three moments with one batched matmul.  The rows
+are split into one contiguous slab per CPU of the process, each filled by
+its own thread with its own buffers; small calls run as one slab on the
+calling thread.  Every row gets the same arithmetic in any slab, so the
+moments do not depend on the split.  The backward pass needs only those
+moments, never the full matrix.
 """
 
 from __future__ import annotations
+
+import os
+from threading import Thread
 
 import numpy as np
 
@@ -52,6 +59,42 @@ EPS = 1e-8
 # enough that the small shapes of gradcheck run as one chunk
 _CHUNK_ELEMS = 1 << 16
 
+# pairs (rows * n^2) each slab holds at least: about 0.4 ms of kernel
+# work, where a second thread starts to pay for its start and join, so
+# gradcheck's shapes (a few hundred pairs) run on the calling thread
+_SLAB_MIN_PAIRS = 1 << 17
+
+
+def _affinity_rows(Z, neg_c, out, start, stop):
+    """Fill rows [start, stop) of the (3, M, n) moment planes ``out`` from the
+    (M, n) rows ``Z`` and their (M,) factors -1 / (2 sigma^2).
+
+    Each chunk of rows fills one buffer with z_j - z_i, squares, scales
+    and exponentiates it in place, then takes all three moments with one
+    batched matmul of [1, z, z^2] against the affinity block.  The block
+    is exactly symmetric, so that matmul writes the moments as rows, here
+    straight into three contiguous planes: the backward pass reads them
+    faster than strided views.  The subtract runs in two passes, a copy
+    of z_j and an in-place subtract of z_i: the same IEEE subtraction,
+    without numpy's slow loop for an operand with a stride-0 axis.
+    """
+    n = Z.shape[1]
+    step = max(1, min(stop - start, _CHUNK_ELEMS // (n * n)))
+    G = np.empty((step, n, n))
+    P = np.empty((step, 3, n))
+    P[:, 0] = 1.0
+    for lo in range(start, stop, step):
+        hi = min(lo + step, stop)
+        g, p, zc = G[: hi - lo], P[: hi - lo], Z[lo:hi]
+        g[...] = zc[:, None, :]
+        g -= zc[:, :, None]
+        g *= g
+        g *= neg_c[lo:hi, None, None]
+        np.exp(g, out=g)
+        p[:, 1] = zc
+        np.multiply(zc, zc, out=p[:, 2])
+        np.matmul(p, g, out=out[:, lo:hi].transpose(1, 0, 2))
+
 
 def _affinity_moments(z: np.ndarray, sigma: np.ndarray):
     """Row moments of the Gaussian affinity matrix over the last axis.
@@ -59,33 +102,45 @@ def _affinity_moments(z: np.ndarray, sigma: np.ndarray):
     Returns (r, s, q) with r_i = sum_j Aff(i,j), s_i = sum_j Aff(i,j) z_j,
     q_i = sum_j Aff(i,j) z_j^2, each shaped like ``z``.
 
-    Each chunk of rows fills one buffer with z_j - z_i, squares, scales
-    and exponentiates it in place, then takes all three moments with one
-    batched matmul of [1, z, z^2] against the affinity block.  The block
-    is exactly symmetric, so that matmul writes the moments as rows, here
-    straight into three contiguous planes: the backward pass reads them
-    faster than strided views.
+    The rows are split into one contiguous slab per CPU the process may
+    run on, each slab holding at least ``_SLAB_MIN_PAIRS`` pairs.  The
+    calling thread fills the first slab and one thread per other slab
+    fills its own, each with its own chunk buffers
+    (:func:`_affinity_rows`); numpy's elementwise loops and matmul release
+    the interpreter lock, so the slabs run at once.  Every row sees the
+    same arithmetic whichever slab holds it, so the moments are bit for
+    bit those of one slab.  A small call, or a process with one CPU, runs
+    one slab on the calling thread.  The threads end before the call
+    returns, so none outlives it (nor survives into a forked child), and
+    an exception raised in any of them is raised here.
     """
     lead = z.shape[:-1]
     n = z.shape[-1]
     Z = z.reshape(-1, n)
     neg_c = -np.broadcast_to(1.0 / (2.0 * sigma * sigma), lead).reshape(-1)
     M = Z.shape[0]
-    step = max(1, min(M, _CHUNK_ELEMS // (n * n)))
-    G = np.empty((step, n, n))
-    P = np.empty((step, 3, n))
-    P[:, 0] = 1.0
     out = np.empty((3, M, n))
-    for lo in range(0, M, step):
-        hi = min(lo + step, M)
-        g, p, zc = G[: hi - lo], P[: hi - lo], Z[lo:hi]
-        np.subtract(zc[:, None, :], zc[:, :, None], out=g)
-        g *= g
-        g *= neg_c[lo:hi, None, None]
-        np.exp(g, out=g)
-        p[:, 1] = zc
-        np.multiply(zc, zc, out=p[:, 2])
-        np.matmul(p, g, out=out[:, lo:hi].transpose(1, 0, 2))
+    slabs = max(1, min(len(os.sched_getaffinity(0)), M, M * n * n // _SLAB_MIN_PAIRS))
+    bounds = [M * k // slabs for k in range(slabs + 1)]
+    errors = []
+
+    def fill(start, stop):
+        try:
+            _affinity_rows(Z, neg_c, out, start, stop)
+        except Exception as exc:  # raised again in the calling thread
+            errors.append(exc)
+
+    threads = [Thread(target=fill, args=(bounds[k], bounds[k + 1]))
+               for k in range(1, slabs)]
+    for t in threads:
+        t.start()
+    try:
+        _affinity_rows(Z, neg_c, out, bounds[0], bounds[1])
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
     return tuple(out.reshape(3, *z.shape))
 
 

@@ -6,17 +6,23 @@ layers they check.
 """
 
 import math
+import multiprocessing
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from aggnet import aggregation, gradcheck
 from aggnet.aggregation import (
     EPS,
     FMeanLayer,
     GaussianSupportLayer,
     HybridLayer,
     _CHUNK_ELEMS,
+    _SLAB_MIN_PAIRS,
     _affinity_moments,
+    _affinity_rows,
     fmean_weights,
     gaussian_affinity,
     gaussian_support_weights,
@@ -334,6 +340,35 @@ class TestGaussianSupportWeights:
         np.testing.assert_allclose(wp, w[perm], rtol=1e-12)
 
 
+def _child_moments(z, sigma, parent, results):
+    """In a forked child: whether the kernel there repeats the parent's moments."""
+    results.put(bool(np.array_equal(np.stack(_affinity_moments(z, sigma)), parent)))
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """The kernel sees two CPUs, so it splits its rows on any machine."""
+    monkeypatch.setattr(aggregation.os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+@pytest.fixture
+def threads_started(monkeypatch):
+    """The list of the threads the kernel starts, as it starts them."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(aggregation, "Thread", Counted)
+    return started
+
+
+def _draw(rng, shape):
+    return rng.standard_normal(shape), rng.uniform(0.3, 3.0, size=shape[:-1])
+
+
 class TestAffinityMoments:
     def test_chunked_moments_match_affinity_matrix(self):
         """n=128 over three full chunks and a ragged last one, to 1e-13."""
@@ -376,6 +411,103 @@ class TestAffinityMoments:
         np.testing.assert_allclose(r, aff.sum(-1), rtol=1e-12)
         np.testing.assert_allclose(s, aff @ z, rtol=1e-12)
         np.testing.assert_allclose(q, aff @ (z * z), rtol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(128, 128, 128), (3, 43, 128)])
+    def test_slabs_equal_one_slab(self, shape, two_cpus, threads_started):
+        """Two slabs give the moments of one slab bit for bit: at the paper's
+        slot, and at 129 rows, which neither the two slabs nor the 4-row
+        chunk step divides."""
+        z, sigma = _draw(np.random.default_rng(21), shape)
+        got = np.stack(_affinity_moments(z, sigma))
+        assert len(threads_started) == 1
+        n = shape[-1]
+        Z = z.reshape(-1, n)
+        want = np.empty((3, *Z.shape))
+        _affinity_rows(Z, -1.0 / (2.0 * sigma * sigma).reshape(-1), want, 0, len(Z))
+        assert np.array_equal(got, want.reshape(got.shape))
+
+    def test_small_calls_start_no_thread(self, monkeypatch):
+        """gradcheck's aggregation checks, and the largest call that one slab
+        holds, run on the calling thread, even with 64 CPUs."""
+        monkeypatch.setattr(aggregation.os, "sched_getaffinity", lambda pid: set(range(64)))
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("the kernel started a thread")
+
+        monkeypatch.setattr(aggregation, "Thread", no_thread)
+        calls = []
+        rows = aggregation._affinity_rows
+        monkeypatch.setattr(aggregation, "_affinity_rows",
+                            lambda *args: calls.append(args) or rows(*args))
+        assert gradcheck.check_gaussian(2) < gradcheck.TOL
+        assert gradcheck.check_hybrid(2) < gradcheck.TOL
+        assert gradcheck.check_full_model() < 1e-4
+        assert calls
+        largest_one_slab = (2 * _SLAB_MIN_PAIRS // 128**2 - 1, 128)
+        _affinity_moments(*_draw(np.random.default_rng(22), largest_one_slab))
+
+    def test_slab_exception_raised_to_the_caller(self, two_cpus, monkeypatch):
+        """An exception in the second slab's thread is raised by the call."""
+        rows = aggregation._affinity_rows
+
+        def fail_second_slab(Z, neg_c, out, start, stop):
+            if start:
+                raise MemoryError("second slab")
+            rows(Z, neg_c, out, start, stop)
+
+        monkeypatch.setattr(aggregation, "_affinity_rows", fail_second_slab)
+        with pytest.raises(MemoryError, match="second slab"):
+            _affinity_moments(*_draw(np.random.default_rng(25), (4, 32, 128)))
+
+    def test_concurrent_callers_get_their_own_moments(self, two_cpus, threads_started):
+        """Two callers running the slabbed kernel at once, five times each,
+        each get exactly the moments of their own input."""
+        rng = np.random.default_rng(23)
+        inputs = [_draw(rng, (8, 32, 128)) for _ in range(2)]
+        want = [np.stack(_affinity_moments(z, sigma)) for z, sigma in inputs]
+        got = [[], []]
+        together = threading.Barrier(2)
+
+        def call(k):
+            for _ in range(5):
+                together.wait(timeout=60)
+                got[k].append(np.stack(_affinity_moments(*inputs[k])))
+
+        callers = [threading.Thread(target=call, args=(k,)) for k in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert len(threads_started) == 2 + 2 * 5
+        for k in range(2):
+            assert len(got[k]) == 5
+            assert all(np.array_equal(g, want[k]) for g in got[k])
+
+    def test_forked_child_runs_the_kernel(self, two_cpus, threads_started):
+        """A child forked after a threaded call runs the kernel, threaded
+        again, to the parent's moments: no thread or lock of the parent's
+        call is left for it to wait on."""
+        z, sigma = _draw(np.random.default_rng(24), (64, 128, 128))
+        parent = np.stack(_affinity_moments(z, sigma))
+        assert threads_started
+        ctx = multiprocessing.get_context("fork")
+        results = ctx.Queue()
+        child = ctx.Process(target=_child_moments, args=(z, sigma, parent, results))
+        child.start()
+        try:
+            assert results.get(timeout=60) is True
+        finally:
+            child.join(timeout=30)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert child.exitcode == 0
 
 
 class TestGaussianSupportLayer:

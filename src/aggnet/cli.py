@@ -73,12 +73,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_fetch_data(args) -> int:
-    if args.sha256 == "":
-        raise ValueError("--sha256 needs a digest, got an empty one")
-    if args.sha256 is not None and args.skip_checksum:
-        raise ValueError("--sha256 and --skip-checksum conflict: give one or neither")
-    sha = None if args.skip_checksum else (args.sha256 or datamod.CIFAR10_SHA256)
-    where = datamod.fetch_cifar10(args.dir, sha256=sha)
+    where = datamod.fetch_cifar10(args.dir, sha256=args.sha256)
     print(f"CIFAR-10 binaries available under {where}")
     return 0
 
@@ -115,8 +110,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("fetch-data", help="download and verify CIFAR-10")
     p.add_argument("--dir", required=True)
-    p.add_argument("--sha256", default=None, help="override the recorded archive digest")
-    p.add_argument("--skip-checksum", action="store_true")
+    p.add_argument("--sha256", default=datamod.CIFAR10_SHA256,
+                   help="64 hex digits; default: the recorded archive digest")
     p.set_defaults(fn=_cmd_fetch_data)
 
     args = parser.parse_args(argv)

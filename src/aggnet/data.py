@@ -79,17 +79,18 @@ def load_batch_file(path) -> tuple[np.ndarray, np.ndarray]:
     return images, labels
 
 
+def _batch_dir(data_dir) -> Path | None:
+    """Whichever of ``data_dir`` and its ``cifar-10-batches-bin`` holds all six batch files."""
+    for d in (Path(data_dir), Path(data_dir) / "cifar-10-batches-bin"):
+        if all((d / name).exists() for name in (*TRAIN_FILES, TEST_FILE)):
+            return d
+    return None
+
+
 def load_cifar10(data_dir) -> tuple[Dataset, Dataset]:
     """Load the six standard batch files into (train, test) datasets."""
-    d = Path(data_dir)
-    # tolerate the archive's own subdirectory layout
-    if not (d / TEST_FILE).exists() and (d / "cifar-10-batches-bin" / TEST_FILE).exists():
-        d = d / "cifar-10-batches-bin"
-    imgs, labs = [], []
-    for name in TRAIN_FILES:
-        i, l = load_batch_file(d / name)
-        imgs.append(i)
-        labs.append(l)
+    d = _batch_dir(data_dir) or Path(data_dir)  # else the first missing file is named
+    imgs, labs = zip(*(load_batch_file(d / name) for name in TRAIN_FILES))
     train = Dataset(np.concatenate(imgs), np.concatenate(labs), split="train")
     ti, tl = load_batch_file(d / TEST_FILE)
     test = Dataset(ti, tl, split="test")
@@ -170,23 +171,24 @@ def batches(data: Dataset, batch_size: int, shuffle_seed: int):
         yield data.images[sel], data.labels[sel]
 
 
-def fetch_cifar10(data_dir, url: str = CIFAR10_URL, sha256: str | None = CIFAR10_SHA256):
+def fetch_cifar10(data_dir, url: str = CIFAR10_URL, sha256: str = CIFAR10_SHA256):
     """Download, checksum-verify and unpack the CIFAR-10 binary archive.
 
-    Skips the download when the batch files are already present.  Pass
-    ``sha256=None`` to bypass verification (e.g. for a local mirror whose
-    archive bytes differ).  Members are unpacked through tarfile's "data"
-    filter, so one that would land outside ``data_dir`` is rejected.  The
-    archive and the batch files appear only whole: the download lands under
-    a temporary name and the archive unpacks into a temporary directory,
-    each moved into place once complete.
+    Skips the download when all six batch files are already present.  A
+    ``sha256`` that is not 64 hex digits (either case) is refused before any
+    download.  Members are unpacked through tarfile's "data" filter, so one
+    that would land outside ``data_dir`` is rejected.  The archive and the
+    batch files appear only whole: the download lands under a temporary
+    name and the archive unpacks into a temporary directory, each moved
+    into place once complete.
     """
+    if len(sha256) != 64 or not set(sha256.lower()) <= set("0123456789abcdef"):
+        raise ValueError(f"sha256 digest must be 64 hex digits, got {sha256!r}")
     import urllib.request  # here, not at module level: it loads http.client and ssl
 
     d = Path(data_dir)
     d.mkdir(parents=True, exist_ok=True)
-    probe = d / "cifar-10-batches-bin" / TEST_FILE
-    if probe.exists() or (d / TEST_FILE).exists():
+    if _batch_dir(d) is not None:
         return d
     archive = d / "cifar-10-binary.tar.gz"
     if not archive.exists():
@@ -197,7 +199,7 @@ def fetch_cifar10(data_dir, url: str = CIFAR10_URL, sha256: str | None = CIFAR10
         finally:
             part.unlink(missing_ok=True)
     digest = hashlib.sha256(archive.read_bytes()).hexdigest()
-    if sha256 is not None and digest != sha256:
+    if digest != sha256.lower():
         raise DataFormatError(
             f"archive checksum mismatch: got {digest}, expected {sha256}"
         )

@@ -368,24 +368,25 @@ def sweep(matrix: dict, out_dir=None, log=None) -> list[dict]:
     """Train every (arch, aggregation, seed) combination in the matrix.
 
     ``matrix`` holds optional ``archs``, ``aggregations`` and ``seeds`` lists
-    and any other ExperimentConfig overrides.  A bad matrix, a repeated axis
-    value included, raises ValueError before any row runs; a failed run is
-    recorded and the sweep continues.
+    and any other ExperimentConfig overrides.  A bad matrix, an empty axis or
+    a repeated axis value included, raises ValueError before any row runs; a
+    failed run is recorded and the sweep continues.
     """
     if not isinstance(matrix, dict):
         raise ValueError(f"sweep matrix must be a JSON object, got {type(matrix).__name__}")
-    for axis, name in (("archs", "arch"), ("aggregations", "aggregation"), ("seeds", "seed")):
-        if name in matrix:
-            raise ValueError(f"sweep matrix sets {name}; list its values under {axis}")
-        values = matrix.get(axis, [])
-        if not isinstance(values, list):
-            raise ValueError(f"sweep matrix {axis} must be a list, got {values!r}")
-        repeated = [v for i, v in enumerate(values) if v in values[:i]]
-        if repeated:  # the two rows would train into one run directory
-            raise ValueError(f"sweep matrix {axis} repeats {repeated[0]!r}")
     archs = matrix.get("archs", list(ARCHS))
     aggregations = matrix.get("aggregations", list(AGGREGATION_KINDS))
     seeds = matrix.get("seeds", [0])
+    for axis, values in (("archs", archs), ("aggregations", aggregations), ("seeds", seeds)):
+        if axis[:-1] in matrix:  # arch, aggregation or seed: each row sets its own
+            raise ValueError(f"sweep matrix sets {axis[:-1]}; list its values under {axis}")
+        if not isinstance(values, list):
+            raise ValueError(f"sweep matrix {axis} must be a list, got {values!r}")
+        if not values:
+            raise ValueError(f"sweep matrix {axis} is empty: it would run no row")
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:  # the two rows would train into one run directory
+            raise ValueError(f"sweep matrix {axis} repeats {repeated[0]!r}")
     overrides = {k: v for k, v in matrix.items() if k not in ("archs", "aggregations", "seeds")}
     rows = []
     for arch in archs:
@@ -398,7 +399,7 @@ def sweep(matrix: dict, out_dir=None, log=None) -> list[dict]:
                     cfg = ExperimentConfig.from_dict(
                         {**overrides, "arch": arch, "aggregation": agg, "seed": seed})
                     rep = train(cfg, out_dir=run_dir, log=log)
-                    last = rep.epochs[-1] if rep.epochs else {}
+                    last = rep.epochs[-1]  # train records every epoch it runs, at least one
                     row.update(zip(_RESULT_KEYS, (
                         rep.clean_accuracy, rep.noisy_accuracy, rep.rho,
                         *(last.get(k) for k in _RESULT_KEYS[3:]))))

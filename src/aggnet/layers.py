@@ -71,7 +71,6 @@ class LinearLayer(Layer):
     """y = x W^T + b with W shaped (out_units, in_units)."""
 
     def __init__(self, in_units: int, out_units: int, rng: np.random.Generator | None = None):
-        self.in_units = in_units
         self.W = Parameter("W", kaiming_uniform(rng, (out_units, in_units), in_units))
         self.b = Parameter("b", np.zeros(out_units))
 
@@ -80,8 +79,8 @@ class LinearLayer(Layer):
 
     def forward(self, x, train: bool = True):
         x = as_tensor(x)
-        if x.ndim != 2 or x.shape[1] != self.in_units:
-            raise ShapeError(f"expected (batch, {self.in_units}), got {x.shape}")
+        if x.ndim != 2 or x.shape[1] != self.W.data.shape[1]:
+            raise ShapeError(f"expected (batch, {self.W.data.shape[1]}), got {x.shape}")
         if train:
             self._cache = x
         return x @ self.W.data.T + self.b.data
@@ -134,7 +133,6 @@ class ConvLayer(Layer):
     swapped."""
 
     def __init__(self, in_ch: int, out_ch: int, rng: np.random.Generator | None = None):
-        self.in_ch = in_ch
         self.kernels = Parameter("kernels", kaiming_uniform(rng, (out_ch, in_ch, 3, 3), in_ch * 9))
         self.bias = Parameter("bias", np.zeros(out_ch))
 
@@ -143,8 +141,9 @@ class ConvLayer(Layer):
 
     def forward(self, x, train: bool = True):
         x = as_tensor(x)
-        if x.ndim != 4 or x.shape[1] != self.in_ch:
-            raise ShapeError(f"expected (batch, {self.in_ch}, H, W), got {x.shape}")
+        in_ch = self.kernels.data.shape[1]
+        if x.ndim != 4 or x.shape[1] != in_ch:
+            raise ShapeError(f"expected (batch, {in_ch}, H, W), got {x.shape}")
         win = _windows(x)
         out = np.einsum("bchwij,ocij->bohw", win, self.kernels.data, optimize=True)
         out += self.bias.data[None, :, None, None]

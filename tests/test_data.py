@@ -305,6 +305,32 @@ class TestFetch:
         assert sorted(p.name for p in dest.iterdir()) == [
             "cifar-10-batches-bin", "cifar-10-binary.tar.gz"]
 
+    def test_partial_batch_dir_is_completed(self, tmp_path):
+        """A directory holding the test batch but not every training batch
+        is not taken as fetched: the archive is downloaded (here from a
+        ``file://`` URL) and completes it."""
+        import hashlib
+
+        tar_path = self._cifar_archive(tmp_path, tmp_path / "mirror", records=4)
+        digest = hashlib.sha256(tar_path.read_bytes()).hexdigest()
+        dest = tmp_path / "dest"
+        (dest / "cifar-10-batches-bin").mkdir(parents=True)
+        for name in ["data_batch_1.bin", "data_batch_2.bin", "data_batch_4.bin",
+                     "data_batch_5.bin", "test_batch.bin"]:
+            write_fake_batch(dest / "cifar-10-batches-bin" / name, 4, seed=9)
+        train, test = load_cifar10(fetch_cifar10(dest, url=tar_path.as_uri(), sha256=digest))
+        assert len(train) == 20 and len(test) == 4
+        assert (dest / "cifar-10-batches-bin" / "data_batch_3.bin").exists()
+
+    def test_upper_case_digest_accepted(self, tmp_path):
+        import hashlib
+
+        dest = tmp_path / "dest"
+        tar_path = self._cifar_archive(tmp_path, dest, records=4)
+        digest = hashlib.sha256(tar_path.read_bytes()).hexdigest()
+        train, test = load_cifar10(fetch_cifar10(dest, sha256=digest.upper()))
+        assert len(train) == 20 and len(test) == 4
+
     def test_checksum_mismatch_rejected(self, tmp_path):
         bad = tmp_path / "cifar-10-binary.tar.gz"
         bad.write_bytes(b"not a real archive")
@@ -334,9 +360,9 @@ class TestFetch:
         assert [p for p in tmp_path.rglob("*") if dest not in (p, *p.parents)] == []
 
     def test_truncated_archive_leaves_no_batch_files(self, tmp_path):
-        """An archive cut short (its digest matching, as with a mirror's or
-        ``--skip-checksum``) is refused on every call, not only the first:
-        no partial batch directory is left for the presence probe."""
+        """An archive cut short (its digest matching, as with a mirror's
+        digest given by ``--sha256``) is refused on every call, not only the
+        first: no partial batch directory is left for the presence probe."""
         import hashlib
 
         dest = tmp_path / "dest"
@@ -382,7 +408,7 @@ class TestFetch:
             monkeypatch.setattr(urllib.request, "urlretrieve", urlretrieve)
         dest = tmp_path / "dest"
         with pytest.raises(OSError):
-            fetch_cifar10(dest, url=(tmp_path / "missing.tar.gz").as_uri(), sha256=None)
+            fetch_cifar10(dest, url=(tmp_path / "missing.tar.gz").as_uri())
         assert list(dest.iterdir()) == []
 
     def test_unfilterable_tarfile_refuses_to_unpack(self, tmp_path, monkeypatch):

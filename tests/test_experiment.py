@@ -743,11 +743,15 @@ class TestCLI:
         ('{"seeds": [0, 1, 0]}', ["seeds", "repeats", "0"]),
         ('{"archs": ["mlp", "mlp"]}', ["archs", "repeats", "'mlp'"]),
         ('{"aggregations": ["baseline", "baseline"]}', ["aggregations", "repeats", "'baseline'"]),
+        ('{"archs": []}', ["archs", "empty"]),
+        ('{"aggregations": []}', ["aggregations", "empty"]),
+        ('{"seeds": []}', ["seeds", "empty"]),
     ])
     def test_sweep_refused_matrix(self, tmp_path, capsys, monkeypatch, text, names):
-        """A missing, malformed or non-object matrix, a non-list axis, a
-        field the axes set, or an axis that repeats a value (its rows would
-        share one run directory) exits 2 with one line before any row runs."""
+        """A missing, malformed or non-object matrix, a non-list or empty
+        axis, a field the axes set, or an axis that repeats a value (its rows
+        would share one run directory) exits 2 with one line before any row
+        runs."""
         monkeypatch.setattr("aggnet.experiment.train",
                             lambda *a, **kw: pytest.fail("a sweep row ran"))
         mpath = tmp_path / "matrix.json"
@@ -757,16 +761,17 @@ class TestCLI:
         self._refused(["sweep", "--matrix", str(mpath), "--out", str(out)], capsys, *names)
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags", [["--sha256", "ab" * 32, "--skip-checksum"],
-                                       ["--sha256", ""]])
+    @pytest.mark.parametrize("flags", [["--sha256", "abc"], ["--sha256", ""],
+                                       ["--sha256", "ab" * 32 + "a"], ["--sha256", "xy" * 32]])
     def test_fetch_data_refused_flags(self, tmp_path, capsys, monkeypatch, flags):
-        """A digest together with --skip-checksum, or an empty digest, exits
-        2 with one line naming the flags, before any download or directory."""
-        monkeypatch.setattr("aggnet.data.fetch_cifar10",
-                            lambda *a, **kw: pytest.fail("fetch_cifar10 was called"))
+        """A digest that is not 64 hex digits (too short, empty, too long,
+        not hex) exits 2 with one line naming it, before any download or
+        directory."""
+        monkeypatch.setattr("urllib.request.urlretrieve",
+                            lambda *a, **kw: pytest.fail("a download started"))
         dest = tmp_path / "data"
         out = self._refused(["fetch-data", "--dir", str(dest), *flags], capsys,
-                            *[f for f in flags if f.startswith("--")])
+                            "sha256", "64 hex digits", repr(flags[1]))
         assert out == "" and not dest.exists()
 
     def test_sweep_verb(self, tmp_path):

@@ -42,9 +42,8 @@ from threading import Thread
 
 import numpy as np
 
-from .layers import Layer, NOVEL, Parameter, kaiming_uniform
+from .layers import Layer, NOVEL, Parameter, _rows, kaiming_uniform
 from .ops import (
-    ShapeError,
     as_tensor,
     log_softplus,
     sigmoid,
@@ -271,13 +270,6 @@ KIND_PATHS = {
 }
 
 
-def _hadamard_rows(x, W):
-    """Per-unit scaled contributions z[b, u, i] = W[u, i] * x[b, i]."""
-    if x.ndim != 2 or x.shape[1] != W.shape[1]:
-        raise ShapeError(f"expected (batch, {W.shape[1]}), got {x.shape}")
-    return x[:, None, :] * W[None, :, :]
-
-
 class HybridLayer(Layer):
     """One shared weight row per unit, reduced by the paths of ``kind``.
 
@@ -297,6 +289,7 @@ class HybridLayer(Layer):
         self.eps = eps
         self.W = Parameter("W", kaiming_uniform(rng, (out_units, in_units), in_units))
         self.b = Parameter("b", np.zeros(out_units))
+        # fixes params() order W, b, p, log_sigma, alpha_raw, which Adam and checkpoints keep
         self.p = self.log_sigma = self.alpha_raw = None
         if FMEAN in self.paths:
             self.p = Parameter("p", np.ones(out_units), tag=NOVEL)
@@ -305,10 +298,6 @@ class HybridLayer(Layer):
         if len(self.paths) > 1:
             shape = (out_units, 3) if len(self.paths) == 3 else (out_units,)
             self.alpha_raw = Parameter("alpha_raw", np.zeros(shape), tag=NOVEL)
-
-    def params(self):
-        return [p for p in (self.W, self.b, self.p, self.log_sigma, self.alpha_raw)
-                if p is not None]
 
     def blend(self):
         """The weight of each path in path order, as (U,) vectors; a single
@@ -321,8 +310,8 @@ class HybridLayer(Layer):
         return tuple(softmax(self.alpha_raw.data, axis=-1).T)
 
     def forward(self, x, train: bool = True):
-        x = as_tensor(x)
-        z = _hadamard_rows(x, self.W.data)
+        x = _rows(x, self.W.data)
+        z = x[:, None, :] * self.W.data[None, :, :]  # z[b, u, i] = W[u, i] * x[b, i]
         outs, caches = [], []
         for path in self.paths:
             if path == LINEAR:

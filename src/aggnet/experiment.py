@@ -314,7 +314,6 @@ def train(config: ExperimentConfig, out_dir=None, datasets=None,
                 loss, dlogits = softmax_xent(logits, yb)
                 if not np.isfinite(loss):
                     raise InvalidValueError("non-finite loss")
-                model.zero_grad()
                 model.backward(dlogits)
                 optimizer.step(clip_norm=config.clip_norm)
                 losses.append(loss)

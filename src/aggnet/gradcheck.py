@@ -209,7 +209,6 @@ def check_full_model(rng=None):
             return softmax_xent(model.forward(x, train=False), labels)[0]
 
         _, dlogits = softmax_xent(model.forward(x, train=True), labels)
-        model.zero_grad()
         model.backward(dlogits)
         for p in model.parameters():
             worst = max(worst, rel_error(p.grad, fd_gradient(objective, p.data)))

@@ -2,8 +2,9 @@
 
 Every layer caches on forward exactly what its backward needs; backward
 consumes the cache, so calling it a second time without a fresh forward
-raises :class:`NoCachedForward`.  Parameter gradients land on
-``Parameter.grad`` and backward returns the input gradient.
+raises :class:`NoCachedForward`.  A layer's parameters are its
+:class:`Parameter` attributes.  Backward assigns each one's ``.grad``,
+never accumulating into it, and returns the input gradient.
 """
 
 from __future__ import annotations
@@ -31,9 +32,6 @@ class Parameter:
         self.grad = None
         self.tag = tag
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Parameter({self.name}, shape={self.data.shape}, tag={self.tag})"
 
@@ -51,7 +49,8 @@ class Layer:
     _cache = None
 
     def params(self) -> list[Parameter]:
-        return []
+        """The instance's Parameter attributes, in the order they were first assigned."""
+        return [v for v in vars(self).values() if isinstance(v, Parameter)]
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         raise NotImplementedError
@@ -67,6 +66,14 @@ class Layer:
         return cache
 
 
+def _rows(x, W: np.ndarray) -> np.ndarray:
+    """``x`` as a (batch, in_units) tensor for a weight ``W`` of (out_units, in_units)."""
+    x = as_tensor(x)
+    if x.ndim != 2 or x.shape[1] != W.shape[1]:
+        raise ShapeError(f"expected (batch, {W.shape[1]}), got {x.shape}")
+    return x
+
+
 class LinearLayer(Layer):
     """y = x W^T + b with W shaped (out_units, in_units)."""
 
@@ -74,13 +81,8 @@ class LinearLayer(Layer):
         self.W = Parameter("W", kaiming_uniform(rng, (out_units, in_units), in_units))
         self.b = Parameter("b", np.zeros(out_units))
 
-    def params(self):
-        return [self.W, self.b]
-
     def forward(self, x, train: bool = True):
-        x = as_tensor(x)
-        if x.ndim != 2 or x.shape[1] != self.W.data.shape[1]:
-            raise ShapeError(f"expected (batch, {self.W.data.shape[1]}), got {x.shape}")
+        x = _rows(x, self.W.data)
         if train:
             self._cache = x
         return x @ self.W.data.T + self.b.data
@@ -135,9 +137,6 @@ class ConvLayer(Layer):
     def __init__(self, in_ch: int, out_ch: int, rng: np.random.Generator | None = None):
         self.kernels = Parameter("kernels", kaiming_uniform(rng, (out_ch, in_ch, 3, 3), in_ch * 9))
         self.bias = Parameter("bias", np.zeros(out_ch))
-
-    def params(self):
-        return [self.kernels, self.bias]
 
     def forward(self, x, train: bool = True):
         x = as_tensor(x)

@@ -55,10 +55,6 @@ class Model:
             grad = layer.backward(grad)
         return grad
 
-    def zero_grad(self):
-        for p in self.parameters():
-            p.zero_grad()
-
     def state(self) -> list[np.ndarray]:
         """Deep copies of all parameter arrays, in declaration order."""
         return [p.data.copy() for p in self.parameters()]

@@ -8,7 +8,6 @@ on disk and is opt-in via ``-m cifar`` with AGGNET_CIFAR_DIR set.
 import math
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +20,14 @@ from aggnet.aggregation import (
     gaussian_affinity,
     gaussian_support_weights,
 )
-from aggnet.data import NoiseSpec, add_noise, load_batch_file, save_batch_file
+from aggnet.data import (
+    TRAIN_FILES,
+    NoiseSpec,
+    _batch_dir,
+    add_noise,
+    load_batch_file,
+    save_batch_file,
+)
 from aggnet.experiment import ExperimentConfig, robustness_score, sweep, train
 from aggnet.layers import LinearLayer
 from aggnet.optim import EarlyStopper, ParamGroup, PlateauScheduler, clip_global_norm
@@ -131,10 +137,20 @@ class TestC5TrainingSmoke:
 
 def _cifar_dir():
     d = os.environ.get("AGGNET_CIFAR_DIR", "data")
-    p = Path(d)
-    if (p / "test_batch.bin").exists() or (p / "cifar-10-batches-bin" / "test_batch.bin").exists():
-        return str(p)
-    return None
+    return d if _batch_dir(d) is not None else None
+
+
+def test_cifar_probe_needs_all_six_batch_files(tmp_path, monkeypatch):
+    """C6 runs only on a directory that the loader can read: a test batch
+    with no training batch skips it."""
+    monkeypatch.setenv("AGGNET_CIFAR_DIR", str(tmp_path))
+    d = tmp_path / "cifar-10-batches-bin"
+    d.mkdir()
+    (d / "test_batch.bin").touch()
+    assert _cifar_dir() is None
+    for name in TRAIN_FILES:
+        (d / name).touch()
+    assert _cifar_dir() == str(tmp_path)
 
 
 @pytest.mark.cifar

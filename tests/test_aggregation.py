@@ -223,7 +223,6 @@ class TestFMeanLayer:
         for layer in (FMeanLayer(5, 7), HybridLayer(5, 7, "fmean")):
             np.testing.assert_array_equal(layer.p.data, np.ones(7))
             assert layer.kind == "fmean"
-            assert [p.name for p in layer.params()] == ["W", "b", "p"]
             assert layer.alpha_raw is None and layer.log_sigma is None
 
     def test_backward_zero_upstream(self):
@@ -516,7 +515,6 @@ class TestGaussianSupportLayer:
         for layer in (GaussianSupportLayer(5, 7), HybridLayer(5, 7, "gaussian")):
             np.testing.assert_array_equal(layer.log_sigma.data, np.zeros(7))
             assert layer.kind == "gaussian"
-            assert [p.name for p in layer.params()] == ["W", "b", "log_sigma"]
             assert layer.alpha_raw is None and layer.p is None
 
     def test_outlier_case(self):
@@ -666,7 +664,6 @@ class TestHybridTwoWay:
         np.testing.assert_array_equal(layer.alpha_raw.data, np.zeros(5))
         np.testing.assert_array_equal(layer.p.data, np.ones(5))
         assert layer.log_sigma is None
-        assert [p.name for p in layer.params()] == ["W", "b", "p", "alpha_raw"]
 
 
 class TestHybridThreeWay:

@@ -1,10 +1,12 @@
-"""Linear, conv, pool, ReLU and loss layers against loop and FD oracles."""
+"""Linear, conv, pool, ReLU and loss layers against loop and FD oracles,
+and the protocol every layer keeps: its parameter list and gradients."""
 
 import math
 
 import numpy as np
 import pytest
 
+from aggnet.aggregation import KIND_PATHS, FMeanLayer, GaussianSupportLayer, HybridLayer
 from aggnet.gradcheck import fd_gradient, rel_error
 from aggnet.layers import (
     ConvLayer,
@@ -15,6 +17,7 @@ from aggnet.layers import (
     ReLULayer,
     softmax_xent,
 )
+from aggnet.model import build_cnn, build_mlp
 from aggnet.ops import ShapeError
 
 
@@ -285,3 +288,67 @@ class TestSoftmaxXent:
             softmax_xent(np.zeros((1, 3)), np.array([3]))
         with pytest.raises(ValueError):
             softmax_xent(np.zeros((1, 3)), np.array([-1]))
+
+
+PARAM_NAMES = {
+    "fmean": ["W", "b", "p"],
+    "gaussian": ["W", "b", "log_sigma"],
+    "fmean-hybrid": ["W", "b", "p", "alpha_raw"],
+    "gaussian-hybrid": ["W", "b", "log_sigma", "alpha_raw"],
+    "threeway-hybrid": ["W", "b", "p", "log_sigma", "alpha_raw"],
+}
+
+
+@pytest.mark.parametrize("build, names", [
+    *((lambda k=kind: HybridLayer(3, 2, k), PARAM_NAMES[kind]) for kind in KIND_PATHS),
+    (lambda: FMeanLayer(3, 2), PARAM_NAMES["fmean"]),
+    (lambda: GaussianSupportLayer(3, 2), PARAM_NAMES["gaussian"]),
+    (lambda: LinearLayer(3, 2), ["W", "b"]),
+    (lambda: ConvLayer(2, 3), ["kernels", "bias"]),
+    (ReLULayer, []),
+    (FlattenLayer, []),
+    (MaxPool2x2Layer, []),
+], ids=[*KIND_PATHS, "FMeanLayer", "GaussianSupportLayer", "linear", "conv", "relu",
+        "flatten", "pool"])
+def test_params_order_and_names(build, names):
+    """params() lists a layer's Parameter attributes in a fixed order, the
+    order Adam's state and the checkpoint layout follow; each Parameter is
+    named after the attribute that holds it."""
+    layer = build()
+    assert [p.name for p in layer.params()] == names
+    for p in layer.params():
+        assert getattr(layer, p.name) is p
+
+
+GRAD_CASES = {
+    "linear": (lambda rng: LinearLayer(5, 4, rng), (3, 5)),
+    "conv": (lambda rng: ConvLayer(2, 3, rng), (2, 2, 4, 4)),
+    **{kind: (lambda rng, k=kind: HybridLayer(5, 4, k, rng), (3, 5)) for kind in KIND_PATHS},
+    "mlp": (lambda rng: build_mlp("threeway-hybrid", rng, in_dim=6, proj_dim=5, hidden_dim=4,
+                                  classes=3), (3, 6)),
+    "cnn": (lambda rng: build_cnn("threeway-hybrid", rng, proj_dim=5, hidden_dim=4,
+                                  classes=3), (2, 3, 32, 32)),
+}
+
+
+@pytest.mark.parametrize("name", GRAD_CASES)
+def test_backward_replaces_every_gradient(name):
+    """Backward assigns every parameter's gradient: a NaN left on .grad
+    beforehand changes nothing, so no pass has to clear gradients."""
+    build, shape = GRAD_CASES[name]
+
+    def grads(stale):
+        rng = np.random.default_rng(0)
+        net = build(rng)
+        params = net.parameters() if hasattr(net, "parameters") else net.params()
+        if stale:
+            for p in params:
+                p.grad = np.full_like(p.data, np.nan)
+        out = net.forward(rng.standard_normal(shape), train=True)
+        net.backward(rng.standard_normal(out.shape))
+        return [p.grad for p in params]
+
+    fresh, stale = grads(False), grads(True)
+    assert fresh and len(fresh) == len(stale)
+    for f, s in zip(fresh, stale):
+        assert np.array_equal(f, s)

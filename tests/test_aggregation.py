@@ -16,6 +16,7 @@ import pytest
 from aggnet import aggregation, gradcheck
 from aggnet.aggregation import (
     EPS,
+    KIND_PATHS,
     FMeanLayer,
     GaussianSupportLayer,
     HybridLayer,
@@ -23,6 +24,7 @@ from aggnet.aggregation import (
     _SLAB_MIN_PAIRS,
     _affinity_moments,
     _affinity_rows,
+    _row_blocks,
     fmean_weights,
     gaussian_affinity,
     gaussian_support_weights,
@@ -800,6 +802,70 @@ class TestHybridBackward:
             assert rel_error(dx, fd_gradient(f, x)) < 1e-5
             for p in layer.params():
                 assert rel_error(p.grad, fd_gradient(f, p.data)) < 1e-5
+
+
+def _layer_results(kind, batch, n, units):
+    """A seeded layer's eval and train outputs, dx and every parameter grad,
+    with the learnable paths' parameters drawn away from their start."""
+    rng = np.random.default_rng(35)
+    layer = HybridLayer(n, units, kind, rng)
+    for param in layer.params()[2:]:
+        param.data = rng.uniform(-1.0, 1.0, size=param.data.shape)
+    x = rng.standard_normal((batch, n))
+    up = rng.standard_normal((batch, units))
+    results = [layer.forward(x, train=False), layer.forward(x), layer.backward(up)]
+    return results + [param.grad for param in layer.params()]
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("kind", list(KIND_PATHS))
+    @pytest.mark.parametrize("shape, block_elems", [
+        ((37, 128, 128), None),  # four blocks of 8 rows and a ragged one of 5
+        ((7, 5, 3), 2 * 5 * 3),  # three blocks of 2 rows and a ragged one of 1
+    ])
+    def test_blocks_equal_one_block(self, kind, shape, block_elems, monkeypatch):
+        """Outputs, dx and every gradient are bit for bit those of one block."""
+        batch, n, units = shape
+        if block_elems is not None:
+            monkeypatch.setattr(aggregation, "_BLOCK_ELEMS", block_elems)
+        blocks = _row_blocks(batch, n * units)
+        assert len(blocks) >= 3 and blocks[-1].stop - blocks[-1].start < blocks[0].stop
+        got = _layer_results(kind, *shape)
+        monkeypatch.setattr(aggregation, "_BLOCK_ELEMS", 1 << 40)
+        assert len(_row_blocks(batch, n * units)) == 1
+        want = _layer_results(kind, *shape)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and np.array_equal(g, w)
+
+    def test_eval_forward_memory(self, traced_peak):
+        """An eval forward at the paper's slot and eval batch holds less than
+        one (batch, units, n) array, 32 MiB (measured 8.3 MiB; a forward
+        over the whole batch at once held 257.0 MiB)."""
+        rng = np.random.default_rng(36)
+        layer = HybridLayer(128, 128, "threeway-hybrid", rng)
+        x = rng.standard_normal((256, 128))
+        assert traced_peak(lambda: layer.forward(x, train=False)) <= 32 * 2**20
+
+    def test_backward_memory(self, traced_peak):
+        """A backward at the paper's slot holds at most 2.5 (batch, units, n)
+        arrays beyond its cache (measured 1.41: the full dz, which the W and
+        dx reductions read whole, and one block's temporaries)."""
+        rng = np.random.default_rng(37)
+        B, U, n = 128, 128, 128
+        layer = HybridLayer(n, U, "threeway-hybrid", rng)
+        layer.forward(rng.standard_normal((B, n)))
+        up = rng.standard_normal((B, U))
+        assert traced_peak(lambda: layer.backward(up)) <= 2.5 * B * U * n * 8
+
+    def test_each_block_kernel_call_keeps_both_cpus(self, two_cpus, threads_started):
+        """Each block's kernel call is large enough to split into two slabs,
+        so a batch of four blocks starts one kernel thread per block."""
+        rng = np.random.default_rng(38)
+        layer = HybridLayer(128, 128, "gaussian", rng)
+        layer.forward(rng.standard_normal((32, 128)), train=False)
+        assert len(_row_blocks(32, 128 * 128)) == 4
+        assert len(threads_started) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ from threading import Thread
 
 import numpy as np
 
-from .layers import Layer, NOVEL, Parameter, _rows, kaiming_uniform
+from .layers import Layer, NOVEL, Parameter, _blocks, _rows, kaiming_uniform
 from .ops import (
     as_tensor,
     log_softplus,
@@ -275,14 +275,6 @@ def _gaussian_grads(z, cache, dA):
 # The aggregation layer
 # ---------------------------------------------------------------------------
 
-def _row_blocks(batch, width):
-    """The batch as contiguous slices of rows, each row holding ``width``
-    elements of every (rows, units, n) array; a block holds at most
-    ``_BLOCK_ELEMS`` of them, and at least one row."""
-    step = max(1, _BLOCK_ELEMS // width)
-    return [slice(lo, min(lo + step, batch)) for lo in range(0, max(batch, 1), step)]
-
-
 def _gather(full, rows, part, batch):
     """``full`` with one block's ``part`` written at ``rows``, made on the
     block's first write; a part that covers the whole batch is returned
@@ -318,7 +310,7 @@ class HybridLayer(Layer):
     each path equal weight.  The bias is added once after blending.
 
     Forward and backward walk the batch in blocks of rows
-    (:func:`_row_blocks`), so the largest array either makes is the
+    (:func:`layers._blocks`), so the largest array either makes is the
     backward's (batch, units, n) dz.  Each block's kernel call splits into
     slabs on the CPUs; everything else runs on the calling thread.  A batch
     that fits one block, as gradcheck's do, is not copied.
@@ -359,7 +351,7 @@ class HybridLayer(Layer):
         blend = self.blend()
         out = np.empty((len(x), len(W)))
         outs, blocks = [None] * len(self.paths), []
-        for rows in _row_blocks(len(x), W.size):
+        for rows in _blocks(len(x), W.size, _BLOCK_ELEMS):
             z = x[rows, None, :] * W[None, :, :]  # z[b, u, i] = W[u, i] * x[b, i]
             block_outs, caches = [], []
             for path in self.paths:

@@ -4,7 +4,26 @@ Every layer caches on forward exactly what its backward needs; backward
 consumes the cache, so calling it a second time without a fresh forward
 raises :class:`NoCachedForward`.  A layer's parameters are its
 :class:`Parameter` attributes.  Backward assigns each one's ``.grad``,
-never accumulating into it, and returns the input gradient.
+never accumulating into it, and returns the input gradient.  A model's
+first layer (linear or conv) is called with ``need_dx=False``: nothing
+reads its input gradient, so it computes none and returns None.
+
+The conv layer contracts every 3x3 window of its input, a (B, C, H, W, 3,
+3) view, with its kernels.  Each contraction copies the windows it reads
+into a matrix, nine times the input's size, so the layer walks the forward
+and the input gradient through blocks of images and the kernel gradient
+through blocks of input channels (:func:`_blocks`), each block's window
+matrix at most ``_BLOCK_ELEMS`` elements.  The blocks make numpy's own
+matrix products over a slice of the same operands and write them into one
+array, laid out as the whole-batch contraction lays out its result: the
+output and the input gradient as (O, B, H, W) and (C, B, H, W) memory, the
+kernel gradient as (C, 3, 3, O).  The layout matters beyond the values: the
+next layer's bias gradient and the optimizer's gradient norm add in memory
+order, so a C-contiguous result with equal values still moves their last
+bits.  A call that fits in one block runs the whole-batch einsum itself
+and copies nothing: where a channel count is 1, as in some of gradcheck's
+shapes, einsum drops that axis and its product differs from a bare 2-D
+matmul in the last bits.
 """
 
 from __future__ import annotations
@@ -15,6 +34,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .ops import DTYPE, ShapeError, as_tensor, log_softmax, softmax
 
 STANDARD, NOVEL = "standard", "novel"
+
+# float64 elements in the window matrix of one block of a conv layer's
+# images or input channels (32 MB): 7 images or 3 channels at 64 -> 64
+# channels, 32x32 and batch 128, where the whole batch's matrix is 604 MB.
+# There, in one process, its backward took a median 1.04 s against 1.56 s
+# at 2^21 and 1.21 s at 2^23.
+_BLOCK_ELEMS = 1 << 22
 
 
 class NoCachedForward(RuntimeError):
@@ -66,6 +92,13 @@ class Layer:
         return cache
 
 
+def _blocks(count, width, elems):
+    """``range(count)`` as contiguous slices of items that each hold ``width``
+    elements; a slice holds at most ``elems`` of them, and at least one item."""
+    step = max(1, elems // width)
+    return [slice(lo, min(lo + step, count)) for lo in range(0, max(count, 1), step)]
+
+
 def _rows(x, W: np.ndarray) -> np.ndarray:
     """``x`` as a (batch, in_units) tensor for a weight ``W`` of (out_units, in_units)."""
     x = as_tensor(x)
@@ -87,12 +120,12 @@ class LinearLayer(Layer):
             self._cache = x
         return x @ self.W.data.T + self.b.data
 
-    def backward(self, upstream):
+    def backward(self, upstream, need_dx: bool = True):
         x = self._take_cache()
         upstream = as_tensor(upstream)
         self.W.grad = upstream.T @ x
         self.b.grad = upstream.sum(axis=0)
-        return upstream @ self.W.data
+        return upstream @ self.W.data if need_dx else None
 
 
 class ReLULayer(Layer):
@@ -127,12 +160,56 @@ def _windows(x: np.ndarray) -> np.ndarray:
     return sliding_window_view(xp, (3, 3), axis=(2, 3))
 
 
+def _window_matrix(x: np.ndarray) -> np.ndarray:
+    """The windows of x as the (C * 9, B * H * W) matrix that einsum copies
+    them into for a contraction over channels and taps."""
+    return _windows(x).transpose(1, 4, 5, 0, 2, 3).reshape(x.shape[1] * 9, -1)
+
+
+def _conv(x: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """x (B, C, H, W) convolved with K (O, C, 3, 3), zero-padded by 1: a
+    (B, O, H, W) view of an (O, B, H, W) array, made in blocks of images."""
+    B, C, H, W = x.shape
+    O = len(K)
+    blocks = _blocks(B, C * 9 * H * W, _BLOCK_ELEMS)
+    if len(blocks) == 1:
+        return np.einsum("bchwij,ocij->bohw", _windows(x), K, optimize=True)
+    # the einsum's matmul, its window matrix split into columns by image
+    kmat = K.reshape(O, C * 9)
+    out = np.empty((O, B * H * W))
+    for rows in blocks:
+        np.matmul(kmat, _window_matrix(x[rows]), out=out[:, rows.start * H * W:rows.stop * H * W])
+    return out.reshape(O, B, H, W).transpose(1, 0, 2, 3)
+
+
+def _kernel_grad(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+    """The (O, C, 3, 3) sum over images and positions of upstream times x's
+    windows: a view of a (C, 3, 3, O) array, made in blocks of channels,
+    each summing over the whole batch."""
+    B, C, H, W = x.shape
+    O = upstream.shape[1]
+    blocks = _blocks(C, 9 * B * H * W, _BLOCK_ELEMS)
+    if len(blocks) == 1:
+        return np.einsum("bohw,bchwij->ocij", upstream, _windows(x), optimize=True)
+    # the einsum's matmul, its window matrix split into rows by channel; the
+    # upstream is laid out once for every block
+    up = upstream.transpose(0, 2, 3, 1).reshape(B * H * W, O)
+    grad = np.empty((C, 3, 3, O))
+    for ch in blocks:
+        np.matmul(_window_matrix(x[:, ch]), up, out=grad[ch].reshape(-1, O))
+    return grad.transpose(3, 0, 1, 2)
+
+
 class ConvLayer(Layer):
     """3x3 convolution, stride 1, pad 1: spatial size is preserved.
 
     The input gradient is the same convolution of the upstream gradient,
     with each kernel flipped in both spatial axes and its channel axes
-    swapped."""
+    swapped.  Forward and input gradient walk blocks of images, the kernel
+    gradient blocks of input channels, so no step copies more than
+    ``_BLOCK_ELEMS`` window elements at once; each result has the values
+    and the memory layout of one whole-batch contraction (module
+    docstring)."""
 
     def __init__(self, in_ch: int, out_ch: int, rng: np.random.Generator | None = None):
         self.kernels = Parameter("kernels", kaiming_uniform(rng, (out_ch, in_ch, 3, 3), in_ch * 9))
@@ -143,21 +220,20 @@ class ConvLayer(Layer):
         in_ch = self.kernels.data.shape[1]
         if x.ndim != 4 or x.shape[1] != in_ch:
             raise ShapeError(f"expected (batch, {in_ch}, H, W), got {x.shape}")
-        win = _windows(x)
-        out = np.einsum("bchwij,ocij->bohw", win, self.kernels.data, optimize=True)
+        out = _conv(x, self.kernels.data)
         out += self.bias.data[None, :, None, None]
         if train:
-            self._cache = win
+            self._cache = x
         return out
 
-    def backward(self, upstream):
+    def backward(self, upstream, need_dx: bool = True):
         upstream = as_tensor(upstream)
-        # no local holds the cached windows: the padded input is freed early
-        self.kernels.grad = np.einsum("bohw,bchwij->ocij", upstream, self._take_cache(),
-                                      optimize=True)
+        # no local holds the cached input: it is freed before the input gradient
+        self.kernels.grad = _kernel_grad(self._take_cache(), upstream)
         self.bias.grad = upstream.sum(axis=(0, 2, 3))
-        return np.einsum("bohwij,ocij->bchw", _windows(upstream),
-                         self.kernels.data[:, :, ::-1, ::-1], optimize=True)
+        if not need_dx:
+            return None
+        return _conv(upstream, self.kernels.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
 
 
 def pool_views(x: np.ndarray) -> list[np.ndarray]:

@@ -50,10 +50,12 @@ class Model:
         return out
 
     def backward(self, dlogits):
+        """Every parameter's gradient.  The first layer's input gradient is
+        never read, so that layer is told not to compute it."""
         grad = dlogits
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[1:]):
             grad = layer.backward(grad)
-        return grad
+        self.layers[0].backward(grad, need_dx=False)
 
     def state(self) -> list[np.ndarray]:
         """Deep copies of all parameter arrays, in declaration order."""

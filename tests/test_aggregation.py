@@ -24,13 +24,12 @@ from aggnet.aggregation import (
     _SLAB_MIN_PAIRS,
     _affinity_moments,
     _affinity_rows,
-    _row_blocks,
     fmean_weights,
     gaussian_affinity,
     gaussian_support_weights,
 )
 from aggnet.gradcheck import fd_gradient, rel_error
-from aggnet.layers import LinearLayer, NoCachedForward
+from aggnet.layers import LinearLayer, NoCachedForward, _blocks
 from aggnet.ops import ShapeError, sigmoid, softmax
 
 
@@ -828,11 +827,11 @@ class TestRowBlocks:
         batch, n, units = shape
         if block_elems is not None:
             monkeypatch.setattr(aggregation, "_BLOCK_ELEMS", block_elems)
-        blocks = _row_blocks(batch, n * units)
+        blocks = _blocks(batch, n * units, aggregation._BLOCK_ELEMS)
         assert len(blocks) >= 3 and blocks[-1].stop - blocks[-1].start < blocks[0].stop
         got = _layer_results(kind, *shape)
         monkeypatch.setattr(aggregation, "_BLOCK_ELEMS", 1 << 40)
-        assert len(_row_blocks(batch, n * units)) == 1
+        assert len(_blocks(batch, n * units, aggregation._BLOCK_ELEMS)) == 1
         want = _layer_results(kind, *shape)
         assert len(got) == len(want)
         for g, w in zip(got, want):
@@ -864,7 +863,7 @@ class TestRowBlocks:
         rng = np.random.default_rng(38)
         layer = HybridLayer(128, 128, "gaussian", rng)
         layer.forward(rng.standard_normal((32, 128)), train=False)
-        assert len(_row_blocks(32, 128 * 128)) == 4
+        assert len(_blocks(32, 128 * 128, aggregation._BLOCK_ELEMS)) == 4
         assert len(threads_started) == 4
 
 

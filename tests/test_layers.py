@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from aggnet import layers
 from aggnet.aggregation import KIND_PATHS, FMeanLayer, GaussianSupportLayer, HybridLayer
 from aggnet.gradcheck import fd_gradient, rel_error
 from aggnet.layers import (
@@ -15,6 +16,8 @@ from aggnet.layers import (
     MaxPool2x2Layer,
     NoCachedForward,
     ReLULayer,
+    _blocks,
+    _windows,
     softmax_xent,
 )
 from aggnet.model import build_cnn, build_mlp
@@ -167,6 +170,62 @@ class TestConv:
             assert rel_error(dx, fd_gradient(f, x)) < 1e-6
             assert rel_error(layer.kernels.grad, fd_gradient(f, layer.kernels.data)) < 1e-6
             assert rel_error(layer.bias.grad, fd_gradient(f, layer.bias.data)) < 1e-6
+
+    @pytest.mark.parametrize("shape, block_elems", [
+        # images in blocks of 2, 2, 1; channels in blocks of 6, 6, 4
+        ((5, 16, 16, 32, 32), 2 * 16 * 9 * 32 * 32),
+        # a first layer: images in blocks of 3, 2; channels in blocks of 2, 1
+        ((5, 3, 64, 32, 32), 2 * 9 * 5 * 32 * 32),
+        # the default budget at the paper's 64 -> 64 layer and batch 16:
+        # images in blocks of 7, 7, 2; channels in blocks of 28, 28, 8
+        ((16, 64, 64, 32, 32), None),
+    ], ids=["ragged", "first-layer", "paper-64"])
+    def test_blocks_equal_whole_batch_contractions(self, shape, block_elems, monkeypatch):
+        """Forward, dx and both parameter gradients have the bytes and the
+        strides of the whole-batch einsums, whose (O, B, H, W) and (C, 3,
+        3, O) layouts the next layer's bias gradient and the gradient norm
+        add in."""
+        B, C, O, H, W = shape
+        if block_elems is not None:
+            monkeypatch.setattr(layers, "_BLOCK_ELEMS", block_elems)
+        for count, width in ((B, C * 9 * H * W), (C, 9 * B * H * W)):
+            blocks = _blocks(count, width, layers._BLOCK_ELEMS)
+            assert len(blocks) >= 2 and blocks[-1].stop - blocks[-1].start < blocks[0].stop
+        assert len(_blocks(B, O * 9 * H * W, layers._BLOCK_ELEMS)) >= 2
+        rng = np.random.default_rng(39)
+        layer = ConvLayer(C, O, rng)
+        layer.bias.data = rng.standard_normal(O)
+        K = layer.kernels.data
+        x = rng.standard_normal((B, C, H, W))
+        up = rng.standard_normal((B, O, H, W))
+        # C-contiguous, as a pool passes it on, and laid out (O, B, H, W), as
+        # a ReLU passes on the next conv's dx
+        for up in (up, np.ascontiguousarray(up.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)):
+            out = np.einsum("bchwij,ocij->bohw", _windows(x), K, optimize=True)
+            out += layer.bias.data[None, :, None, None]
+            want = [out,
+                    np.einsum("bohwij,ocij->bchw", _windows(up), K[:, :, ::-1, ::-1],
+                              optimize=True),
+                    np.einsum("bohw,bchwij->ocij", up, _windows(x), optimize=True),
+                    up.sum(axis=(0, 2, 3))]
+            got = [layer.forward(x), layer.backward(up), layer.kernels.grad, layer.bias.grad]
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.strides == w.strides
+                assert g.tobytes() == w.tobytes()
+
+    def test_allocations(self, traced_peak):
+        """At the paper's 64 -> 64 layer, 32x32, batch 32, the forward and
+        the backward each hold at most 4 input sizes at once (measured 3.22
+        and 3.25: the output or dx, one block's 32 MB window matrix and its
+        padded images; the backward's kernel gradient also lays out the
+        upstream once).  Whole-batch einsums held 11.13 and 11.16, their
+        151 MB window copy nine input sizes of it."""
+        rng = np.random.default_rng(40)
+        layer = ConvLayer(64, 64, rng)
+        x = rng.standard_normal((32, 64, 32, 32))
+        assert traced_peak(lambda: layer.forward(x)) <= 4 * x.nbytes
+        up = rng.standard_normal((32, 64, 32, 32))
+        assert traced_peak(lambda: layer.backward(up)) <= 4 * x.nbytes
 
 
 class TestMaxPool:
@@ -352,3 +411,50 @@ def test_backward_replaces_every_gradient(name):
     assert fresh and len(fresh) == len(stale)
     for f, s in zip(fresh, stale):
         assert np.array_equal(f, s)
+
+
+@pytest.mark.parametrize("build, shape", [
+    (lambda rng: ConvLayer(3, 4, rng), (2, 3, 6, 6)),
+    (lambda rng: LinearLayer(5, 4, rng), (3, 5)),
+], ids=["conv", "linear"])
+def test_backward_without_dx(build, shape):
+    """need_dx=False returns no input gradient and leaves every parameter
+    gradient bit for bit as the default backward gives it."""
+    def grads(need_dx):
+        rng = np.random.default_rng(41)
+        layer = build(rng)
+        out = layer.forward(rng.standard_normal(shape))
+        dx = layer.backward(rng.standard_normal(out.shape), need_dx=need_dx)
+        return dx, [p.grad for p in layer.params()]
+
+    dx, want = grads(True)
+    assert dx.shape == shape
+    none, got = grads(False)
+    assert none is None
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+def test_model_backward_skips_the_first_input_gradient(monkeypatch):
+    """The CNN's backward makes the input gradient of its last three conv
+    layers only, and every parameter gradient is bit for bit that of a
+    backward through all layers with their input gradients."""
+    calls = []
+    conv = layers._conv
+    monkeypatch.setattr(layers, "_conv", lambda x, K: calls.append(K.shape) or conv(x, K))
+    rng = np.random.default_rng(42)
+    net = build_cnn("baseline", rng, proj_dim=5, hidden_dim=4, classes=3)
+    x, up = rng.standard_normal((2, 3, 32, 32)), rng.standard_normal((2, 3))
+    net.forward(x)
+    calls.clear()
+    assert net.backward(up) is None
+    # dx of each conv convolves with its kernels' channel axes swapped
+    assert calls == [(128, 128, 3, 3), (64, 128, 3, 3), (64, 64, 3, 3)]
+    got = [p.grad for p in net.parameters()]
+    net.forward(x)
+    grad = up
+    for layer in reversed(net.layers):
+        grad = layer.backward(grad)
+    assert grad.shape == x.shape
+    for g, p in zip(got, net.parameters()):
+        assert g.tobytes() == p.grad.tobytes()

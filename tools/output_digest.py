@@ -12,10 +12,12 @@ checkout's own ``src`` and prints:
 - the ``repr`` of the worst relative error of each of the nine gradcheck
   checks at 5 cases;
 - at the paper's shapes, with fixed seeds, the sha256 of the raw bytes
-  (signed zeros included) of one threeway ``HybridLayer(128, 128)``
-  forward at batch 128, its backward ``dx`` and every parameter grad, and
-  of one ``MaxPool2x2Layer`` forward and backward on ReLU'd
-  (128, 64, 32, 32) input.
+  (signed zeros included) and the strides of one threeway
+  ``HybridLayer(128, 128)`` forward at batch 128, its backward ``dx`` and
+  every parameter grad, of one ``MaxPool2x2Layer`` forward and backward
+  on ReLU'd (128, 64, 32, 32) input, and of one ``ConvLayer(64, 64)``
+  forward, ``dx`` and parameter grads on another such input.  The strides
+  count because later sums add in memory order.
 
 Two checkouts produce the same outputs byte for byte when their digests
 are equal, so a change that should not move any number is checked with::
@@ -42,7 +44,7 @@ import numpy as np  # noqa: E402
 from aggnet import cli, gradcheck  # noqa: E402
 from aggnet.aggregation import HybridLayer  # noqa: E402
 from aggnet.experiment import ExperimentConfig, train  # noqa: E402
-from aggnet.layers import NOVEL, MaxPool2x2Layer  # noqa: E402
+from aggnet.layers import NOVEL, ConvLayer, MaxPool2x2Layer  # noqa: E402
 
 EVAL_RUN = ("mlp", "threeway-hybrid")
 RUNS = [("mlp", agg) for agg in ("baseline", "fmean-hybrid", "gaussian-hybrid",
@@ -90,25 +92,33 @@ def gradcheck_digest() -> dict:
 
 
 def _layer_pass(layer, x, rng) -> dict:
-    """sha256 of one forward, its backward's dx and each parameter grad."""
+    """sha256 and strides of one forward, its backward's dx and each
+    parameter grad."""
     out = layer.forward(x)
     dx = layer.backward(rng.standard_normal(out.shape))
-    digest = {"forward": _sha256(out.tobytes()), "dx": _sha256(dx.tobytes())}
-    digest.update({p.name: _sha256(p.grad.tobytes()) for p in layer.params()})
+    arrays = {"forward": out, "dx": dx, **{p.name: p.grad for p in layer.params()}}
+    digest = {name: _sha256(a.tobytes()) for name, a in arrays.items()}
+    digest["strides"] = {name: a.strides for name, a in arrays.items()}
     return digest
 
 
 def layers_digest() -> dict:
-    """The threeway slot and the pool at the paper's shapes; the novel
-    parameters are moved off their initial values so no blend weight is 1/3."""
+    """The threeway slot, the pool and the 64 -> 64 conv at the paper's
+    shapes; the novel parameters are moved off their initial values so no
+    blend weight is 1/3, and the conv bias off zero."""
     rng = np.random.default_rng(2026)
     hybrid = HybridLayer(128, 128, "threeway-hybrid", rng)
     for param in hybrid.params():
         if param.tag == NOVEL:
             param.data = param.data + rng.uniform(-0.5, 0.5, param.data.shape)
     pool_input = np.maximum(rng.standard_normal((128, 64, 32, 32)), 0.0)
-    return {"threeway-hybrid": _layer_pass(hybrid, rng.standard_normal((128, 128)), rng),
-            "maxpool2x2": _layer_pass(MaxPool2x2Layer(), pool_input, rng)}
+    digest = {"threeway-hybrid": _layer_pass(hybrid, rng.standard_normal((128, 128)), rng),
+              "maxpool2x2": _layer_pass(MaxPool2x2Layer(), pool_input, rng)}
+    conv = ConvLayer(64, 64, rng)
+    conv.bias.data = rng.uniform(-0.5, 0.5, 64)
+    conv_input = np.maximum(rng.standard_normal((128, 64, 32, 32)), 0.0)
+    digest["conv64"] = _layer_pass(conv, conv_input, rng)
+    return digest
 
 
 def main() -> int:

@@ -277,10 +277,7 @@ def _gaussian_grads(z, cache, dA):
 
 def _gather(full, rows, part, batch):
     """``full`` with one block's ``part`` written at ``rows``, made on the
-    block's first write; a part that covers the whole batch is returned
-    as it is, so a one-block batch copies nothing."""
-    if rows.stop - rows.start == batch:
-        return part
+    block's first write."""
     if full is None:
         full = np.empty((batch, *part.shape[1:]))
     full[rows] = part
@@ -312,8 +309,7 @@ class HybridLayer(Layer):
     Forward and backward walk the batch in blocks of rows
     (:func:`layers._blocks`), so the largest array either makes is the
     backward's (batch, units, n) dz.  Each block's kernel call splits into
-    slabs on the CPUs; everything else runs on the calling thread.  A batch
-    that fits one block, as gradcheck's do, is not copied.
+    slabs on the CPUs; everything else runs on the calling thread.
     """
 
     def __init__(self, in_units, out_units, kind: str, rng=None, eps: float = EPS):

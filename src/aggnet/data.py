@@ -20,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import checkpoint
+
 RECORD_BYTES = 3073
 IMAGE_SHAPE = (3, 32, 32)
 NUM_CLASSES = 10
@@ -98,15 +100,28 @@ def load_cifar10(data_dir) -> tuple[Dataset, Dataset]:
 
 
 def save_batch_file(path, images: np.ndarray, labels: np.ndarray):
-    """Serialize images/labels back to the binary record format.
+    """Serialize images/labels back to the binary record format, replacing
+    ``path`` atomically.
 
-    Loading a file and re-saving it reproduces the original bytes.
+    Loading a file and re-saving it reproduces the original bytes.  Input
+    that no record can hold (a bad shape, a pixel outside [0, 1] or not
+    finite, a label not an integer in [0, 10)) raises :class:`DataFormatError`
+    before anything is written.
     """
-    n = len(labels)
+    images, labels = np.asarray(images), np.asarray(labels)
+    n = labels.size
+    if n == 0 or labels.shape != (n,) or images.shape != (n, *IMAGE_SHAPE):
+        raise DataFormatError(f"expected (N, 3, 32, 32) images and (N,) labels, N > 0, "
+                              f"got {images.shape} and {labels.shape}")
+    if not np.all((images >= 0.0) & (images <= 1.0)):  # NaN fails both
+        raise DataFormatError("pixel not a finite value in [0, 1]")
+    if labels.dtype.kind not in "iu" or not np.all((labels >= 0) & (labels < NUM_CLASSES)):
+        raise DataFormatError("label not an integer in [0, 10)")
     rec = np.empty((n, RECORD_BYTES), dtype=np.uint8)
     rec[:, 0] = labels
     rec[:, 1:] = np.rint(images.reshape(n, -1) * 255.0).astype(np.uint8)
-    Path(path).write_bytes(rec.tobytes())
+    with checkpoint.atomic_open(path, "wb") as f:
+        f.write(rec.tobytes())
 
 
 def train_val_split(data: Dataset, val_size: int, seed: int) -> tuple[Dataset, Dataset]:

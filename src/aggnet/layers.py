@@ -13,17 +13,13 @@ The conv layer contracts every 3x3 window of its input, a (B, C, H, W, 3,
 into a matrix, nine times the input's size, so the layer walks the forward
 and the input gradient through blocks of images and the kernel gradient
 through blocks of input channels (:func:`_blocks`), each block's window
-matrix at most ``_BLOCK_ELEMS`` elements.  The blocks make numpy's own
-matrix products over a slice of the same operands and write them into one
-array, laid out as the whole-batch contraction lays out its result: the
-output and the input gradient as (O, B, H, W) and (C, B, H, W) memory, the
-kernel gradient as (C, 3, 3, O).  The layout matters beyond the values: the
-next layer's bias gradient and the optimizer's gradient norm add in memory
-order, so a C-contiguous result with equal values still moves their last
-bits.  A call that fits in one block runs the whole-batch einsum itself
-and copies nothing: where a channel count is 1, as in some of gradcheck's
-shapes, einsum drops that axis and its product differs from a bare 2-D
-matmul in the last bits.
+matrix at most ``_BLOCK_ELEMS`` elements.  Each block's matrix product
+writes its slice of one array, laid out as numpy's whole-batch contraction
+lays out its result: the output and the input gradient as (O, B, H, W) and
+(C, B, H, W) memory, the kernel gradient as (C, 3, 3, O).  The layout
+matters beyond the values: the next layer's bias gradient and the
+optimizer's gradient norm add in memory order, so a C-contiguous result
+with equal values still moves their last bits.
 """
 
 from __future__ import annotations
@@ -161,8 +157,8 @@ def _windows(x: np.ndarray) -> np.ndarray:
 
 
 def _window_matrix(x: np.ndarray) -> np.ndarray:
-    """The windows of x as the (C * 9, B * H * W) matrix that einsum copies
-    them into for a contraction over channels and taps."""
+    """The windows of x copied into a (C * 9, B * H * W) matrix, rows by
+    channel and tap, columns by image and position."""
     return _windows(x).transpose(1, 4, 5, 0, 2, 3).reshape(x.shape[1] * 9, -1)
 
 
@@ -171,13 +167,10 @@ def _conv(x: np.ndarray, K: np.ndarray) -> np.ndarray:
     (B, O, H, W) view of an (O, B, H, W) array, made in blocks of images."""
     B, C, H, W = x.shape
     O = len(K)
-    blocks = _blocks(B, C * 9 * H * W, _BLOCK_ELEMS)
-    if len(blocks) == 1:
-        return np.einsum("bchwij,ocij->bohw", _windows(x), K, optimize=True)
-    # the einsum's matmul, its window matrix split into columns by image
+    # the window matrix split into columns by image
     kmat = K.reshape(O, C * 9)
     out = np.empty((O, B * H * W))
-    for rows in blocks:
+    for rows in _blocks(B, C * 9 * H * W, _BLOCK_ELEMS):
         np.matmul(kmat, _window_matrix(x[rows]), out=out[:, rows.start * H * W:rows.stop * H * W])
     return out.reshape(O, B, H, W).transpose(1, 0, 2, 3)
 
@@ -188,14 +181,11 @@ def _kernel_grad(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     each summing over the whole batch."""
     B, C, H, W = x.shape
     O = upstream.shape[1]
-    blocks = _blocks(C, 9 * B * H * W, _BLOCK_ELEMS)
-    if len(blocks) == 1:
-        return np.einsum("bohw,bchwij->ocij", upstream, _windows(x), optimize=True)
-    # the einsum's matmul, its window matrix split into rows by channel; the
-    # upstream is laid out once for every block
+    # the window matrix split into rows by channel; the upstream is laid out
+    # once for every block
     up = upstream.transpose(0, 2, 3, 1).reshape(B * H * W, O)
     grad = np.empty((C, 3, 3, O))
-    for ch in blocks:
+    for ch in _blocks(C, 9 * B * H * W, _BLOCK_ELEMS):
         np.matmul(_window_matrix(x[:, ch]), up, out=grad[ch].reshape(-1, O))
     return grad.transpose(3, 0, 1, 2)
 

@@ -823,7 +823,8 @@ class TestRowBlocks:
         ((7, 5, 3), 2 * 5 * 3),  # three blocks of 2 rows and a ragged one of 1
     ])
     def test_blocks_equal_one_block(self, kind, shape, block_elems, monkeypatch):
-        """Outputs, dx and every gradient are bit for bit those of one block."""
+        """Outputs, dx and every gradient are bit for bit those of one block,
+        and laid out alike: one block is gathered as every block is."""
         batch, n, units = shape
         if block_elems is not None:
             monkeypatch.setattr(aggregation, "_BLOCK_ELEMS", block_elems)
@@ -835,7 +836,8 @@ class TestRowBlocks:
         want = _layer_results(kind, *shape)
         assert len(got) == len(want)
         for g, w in zip(got, want):
-            assert g.shape == w.shape and np.array_equal(g, w)
+            assert g.shape == w.shape and g.strides == w.strides
+            assert g.tobytes() == w.tobytes()
 
     def test_eval_forward_memory(self, traced_peak):
         """An eval forward at the paper's slot and eval batch holds less than

@@ -103,6 +103,52 @@ class TestLoader:
         save_batch_file(out, images, labels)
         assert out.read_bytes() == original
 
+    @pytest.mark.parametrize("change", [
+        "pixel 1.2", "pixel -0.1", "pixel nan", "pixel inf", "label 300", "label -1",
+        "label 10", "float labels", "flat images", "one label short", "empty",
+    ])
+    def test_save_refuses_what_no_record_holds(self, tmp_path, change):
+        """Input a record cannot hold raises before a byte is written: a
+        pixel of 1.2 would be saved as byte 50 and -0.1 as 230, a label of
+        300 as 44, which the loader refuses."""
+        rng = np.random.default_rng(11)
+        images, labels = rng.random((4, 3, 32, 32)), rng.integers(0, 10, 4)
+        what, _, value = change.partition(" ")
+        if what == "pixel":
+            images[2, 1, 5, 7] = float(value)
+        elif what == "label":
+            labels[3] = int(value)
+        elif change == "float labels":
+            labels = labels + 0.5
+        elif change == "flat images":
+            images = images.reshape(4, -1)
+        elif change == "one label short":
+            labels = labels[:3]
+        else:
+            images, labels = images[:0], labels[:0]
+        f = tmp_path / "batch.bin"
+        f.write_bytes(b"old")
+        with pytest.raises(DataFormatError):
+            save_batch_file(f, images, labels)
+        assert f.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["batch.bin"]
+
+    def test_save_is_atomic(self, tmp_path, monkeypatch):
+        """A save that fails before its rename leaves the old file whole and
+        no temporary file beside it."""
+        f = tmp_path / "batch.bin"
+        original = write_fake_batch(f, 8, seed=12).tobytes()
+        images, labels = load_batch_file(f)
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_batch_file(f, 1.0 - images, labels)
+        assert f.read_bytes() == original
+        assert os.listdir(tmp_path) == ["batch.bin"]
+
     def test_full_directory_load(self, tmp_path):
         for i in range(1, 6):
             write_fake_batch(tmp_path / f"data_batch_{i}.bin", 20, seed=i)

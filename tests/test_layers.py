@@ -171,27 +171,40 @@ class TestConv:
             assert rel_error(layer.kernels.grad, fd_gradient(f, layer.kernels.data)) < 1e-6
             assert rel_error(layer.bias.grad, fd_gradient(f, layer.bias.data)) < 1e-6
 
-    @pytest.mark.parametrize("shape, block_elems", [
+    @pytest.mark.parametrize("shape, block_elems, one_block", [
         # images in blocks of 2, 2, 1; channels in blocks of 6, 6, 4
-        ((5, 16, 16, 32, 32), 2 * 16 * 9 * 32 * 32),
+        ((5, 16, 16, 32, 32), 2 * 16 * 9 * 32 * 32, False),
         # a first layer: images in blocks of 3, 2; channels in blocks of 2, 1
-        ((5, 3, 64, 32, 32), 2 * 9 * 5 * 32 * 32),
+        ((5, 3, 64, 32, 32), 2 * 9 * 5 * 32 * 32, False),
         # the default budget at the paper's 64 -> 64 layer and batch 16:
         # images in blocks of 7, 7, 2; channels in blocks of 28, 28, 8
-        ((16, 64, 64, 32, 32), None),
-    ], ids=["ragged", "first-layer", "paper-64"])
-    def test_blocks_equal_whole_batch_contractions(self, shape, block_elems, monkeypatch):
+        ((16, 64, 64, 32, 32), None, False),
+        # the default budget at the CNN's first layer, and at a small layer
+        ((4, 3, 64, 32, 32), None, True),
+        ((2, 2, 3, 4, 6), None, True),
+    ], ids=["ragged", "first-layer", "paper-64", "first-layer-one-block", "small-one-block"])
+    def test_blocks_equal_whole_batch_contractions(self, shape, block_elems, one_block,
+                                                   monkeypatch):
         """Forward, dx and both parameter gradients have the bytes and the
         strides of the whole-batch einsums, whose (O, B, H, W) and (C, 3,
         3, O) layouts the next layer's bias gradient and the gradient norm
-        add in."""
+        add in, whether a call walks several blocks or fits in one.  Two
+        shapes no model builds are left out: one channel in and one out,
+        where einsum drops both channel axes and its dx differs from the
+        blocks' matmul in the last bits, and a single 1x1 image, where
+        einsum's kernel gradient keeps the sign of its zero padding taps."""
         B, C, O, H, W = shape
         if block_elems is not None:
             monkeypatch.setattr(layers, "_BLOCK_ELEMS", block_elems)
-        for count, width in ((B, C * 9 * H * W), (C, 9 * B * H * W)):
-            blocks = _blocks(count, width, layers._BLOCK_ELEMS)
-            assert len(blocks) >= 2 and blocks[-1].stop - blocks[-1].start < blocks[0].stop
-        assert len(_blocks(B, O * 9 * H * W, layers._BLOCK_ELEMS)) >= 2
+        # forward images, kernel-gradient channels, dx images
+        blocks = [_blocks(count, width, layers._BLOCK_ELEMS)
+                  for count, width in ((B, C * 9 * H * W), (C, 9 * B * H * W), (B, O * 9 * H * W))]
+        if one_block:
+            assert [len(b) for b in blocks] == [1, 1, 1]
+        else:
+            for b in blocks[:2]:
+                assert len(b) >= 2 and b[-1].stop - b[-1].start < b[0].stop
+            assert len(blocks[2]) >= 2
         rng = np.random.default_rng(39)
         layer = ConvLayer(C, O, rng)
         layer.bias.data = rng.standard_normal(O)

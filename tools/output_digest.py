@@ -16,8 +16,13 @@ checkout's own ``src`` and prints:
   ``HybridLayer(128, 128)`` forward at batch 128, its backward ``dx`` and
   every parameter grad, of one ``MaxPool2x2Layer`` forward and backward
   on ReLU'd (128, 64, 32, 32) input, and of one ``ConvLayer(64, 64)``
-  forward, ``dx`` and parameter grads on another such input.  The strides
-  count because later sums add in memory order.
+  forward, ``dx`` and parameter grads on another such input, each of
+  which walks several blocks;
+- the same for two passes that fit in one block: the threeway layer at
+  batch 8, and a ``ConvLayer(3, 64)``, the CNN's first layer, on a
+  (4, 3, 32, 32) batch of pixels in [0, 1].
+
+The strides count because later sums add in memory order.
 
 Two checkouts produce the same outputs byte for byte when their digests
 are equal, so a change that should not move any number is checked with::
@@ -104,8 +109,9 @@ def _layer_pass(layer, x, rng) -> dict:
 
 def layers_digest() -> dict:
     """The threeway slot, the pool and the 64 -> 64 conv at the paper's
-    shapes; the novel parameters are moved off their initial values so no
-    blend weight is 1/3, and the conv bias off zero."""
+    shapes, then the threeway slot and the 3 -> 64 conv at one block each;
+    the novel parameters are moved off their initial values so no blend
+    weight is 1/3, and the conv biases off zero."""
     rng = np.random.default_rng(2026)
     hybrid = HybridLayer(128, 128, "threeway-hybrid", rng)
     for param in hybrid.params():
@@ -118,6 +124,10 @@ def layers_digest() -> dict:
     conv.bias.data = rng.uniform(-0.5, 0.5, 64)
     conv_input = np.maximum(rng.standard_normal((128, 64, 32, 32)), 0.0)
     digest["conv64"] = _layer_pass(conv, conv_input, rng)
+    digest["threeway-hybrid-one-block"] = _layer_pass(hybrid, rng.standard_normal((8, 128)), rng)
+    first = ConvLayer(3, 64, rng)
+    first.bias.data = rng.uniform(-0.5, 0.5, 64)
+    digest["conv3-one-block"] = _layer_pass(first, rng.uniform(0.0, 1.0, (4, 3, 32, 32)), rng)
     return digest
 
 

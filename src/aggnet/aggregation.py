@@ -37,11 +37,12 @@ moments, never the full matrix.
 Every stage of the layer works per batch row, so :class:`HybridLayer`
 walks its batch in contiguous blocks of rows, each holding about 1 MB per
 (rows, units, n) array.  An eval forward keeps only its (batch, units)
-output; a train forward keeps each block's Hadamard rows and path caches
-for the backward, which computes its dz block by block and reduces the
-parameter and input gradients once over the whole batch.  Each block's
-kernel call still splits into its slabs; the rest runs on the calling
-thread.  The results are bit for bit those of one block.
+output; a train forward keeps each block's Hadamard rows, path outputs
+and caches.  The backward makes one pass over the blocks, writing each
+block's rows of the input gradient and adding its rows of every batch sum
+(the W, p, log sigma and blend gradients) into running totals in batch
+order.  Each block's kernel call splits into its slabs; the rest runs on
+the calling thread.  The results are bit for bit those of one block.
 """
 
 from __future__ import annotations
@@ -275,13 +276,10 @@ def _gaussian_grads(z, cache, dA):
 # The aggregation layer
 # ---------------------------------------------------------------------------
 
-def _gather(full, rows, part, batch):
-    """``full`` with one block's ``part`` written at ``rows``, made on the
-    block's first write."""
-    if full is None:
-        full = np.empty((batch, *part.shape[1:]))
-    full[rows] = part
-    return full
+def _add_rows(total, part):
+    """Add each row of ``part`` into ``total`` in turn, in place."""
+    for row in part:
+        total += row
 
 
 LINEAR, FMEAN, GAUSSIAN = "linear", "fmean", "gaussian"
@@ -307,8 +305,8 @@ class HybridLayer(Layer):
     each path equal weight.  The bias is added once after blending.
 
     Forward and backward walk the batch in blocks of rows
-    (:func:`layers._blocks`), so the largest array either makes is the
-    backward's (batch, units, n) dz.  Each block's kernel call splits into
+    (:func:`layers._blocks`), so no array of either has more than one
+    block's rows of (rows, units, n).  Each block's kernel call splits into
     slabs on the CPUs; everything else runs on the calling thread.
     """
 
@@ -346,10 +344,10 @@ class HybridLayer(Layer):
         W = self.W.data
         blend = self.blend()
         out = np.empty((len(x), len(W)))
-        outs, blocks = [None] * len(self.paths), []
+        blocks = []
         for rows in _blocks(len(x), W.size, _BLOCK_ELEMS):
             z = x[rows, None, :] * W[None, :, :]  # z[b, u, i] = W[u, i] * x[b, i]
-            block_outs, caches = [], []
+            outs, caches = [], []
             for path in self.paths:
                 if path == LINEAR:
                     a, cache = z.sum(axis=-1), None
@@ -357,55 +355,57 @@ class HybridLayer(Layer):
                     a, cache = _fmean_eval(z, self.p.data[None, :], self.eps)
                 else:
                     a, cache = _gaussian_eval(z, self.log_sigma.data[None, :])
-                block_outs.append(a)
+                outs.append(a)
                 caches.append(cache)
-            mixed = blend[0] * block_outs[0]
-            for w, a in zip(blend[1:], block_outs[1:]):
+            mixed = blend[0] * outs[0]
+            for w, a in zip(blend[1:], outs[1:]):
                 mixed = mixed + w * a
             np.add(mixed, self.b.data, out=out[rows])
             if train:
-                outs = [_gather(full, rows, a, len(x)) for full, a in zip(outs, block_outs)]
-                blocks.append((rows, z, caches))
+                blocks.append((rows, z, outs, caches))
         if train:
-            self._cache = (x, blend, outs, blocks)
+            self._cache = (x, blend, blocks)
         return out
 
     def backward(self, upstream):
-        x, blend, outs, blocks = self._take_cache()
+        x, blend, blocks = self._take_cache()
         upstream = as_tensor(upstream)
         self.b.grad = upstream.sum(axis=0)
-        if len(outs) == 2:
-            s = blend[1]
-            self.alpha_raw.grad = (upstream * (outs[1] - outs[0])).sum(axis=0) * (s * (1.0 - s))
-        elif len(outs) == 3:
-            # softmax Jacobian per unit on path-output sensitivities
-            soft = np.stack(blend, axis=-1)  # (U, 3)
-            g = np.stack([(upstream * a).sum(axis=0) for a in outs], axis=-1)
-            self.alpha_raw.grad = soft * (g - (soft * g).sum(axis=-1, keepdims=True))
-
-        dz = dp_rows = dls_rows = None
-        for rows, z, caches in blocks:
-            dz_block = None
+        dx, U = np.empty(x.shape), len(self.b.data)
+        # batch sums that start at +0 and add rows in batch order, as numpy's
+        # sum over axis 0 does, so no bit depends on the blocks; sens sums the
+        # upstream times each path's output, or the second's less the first's
+        dW, dp, dls = np.zeros(self.W.data.shape), np.zeros(U), np.zeros(U)
+        sens = np.zeros(({1: 0, 2: 1, 3: 3}[len(blend)], U))
+        for rows, z, outs, caches in blocks:
+            up = upstream[rows]
+            for total, a in zip(sens, [outs[1] - outs[0]] if len(outs) == 2 else outs):
+                _add_rows(total, up * a)
+            dz = part = None  # the last block's dz goes before this one's is made
             for path, cache, weight in zip(self.paths, caches, blend):
-                d = upstream[rows] * weight
+                d = up * weight
                 if path == LINEAR:
                     part = d[..., None]
                 elif path == FMEAN:
-                    part, dp = _fmean_grads(z, self.p.data[None, :], cache, d)
-                    dp_rows = _gather(dp_rows, rows, dp, len(x))
+                    part, dp_rows = _fmean_grads(z, self.p.data[None, :], cache, d)
+                    _add_rows(dp, dp_rows)
                 else:
-                    part, dls = _gaussian_grads(z, cache, d)
-                    dls_rows = _gather(dls_rows, rows, dls, len(x))
+                    part, dls_rows = _gaussian_grads(z, cache, d)
+                    _add_rows(dls, dls_rows)
                 # IEEE addition commutes
-                dz_block = part if dz_block is None else np.add(part, dz_block, out=part)
-            dz = _gather(dz, rows, dz_block, len(x))
-        # summed over the whole batch, not per block, so no bit depends on the split
-        if dp_rows is not None:
-            self.p.grad = dp_rows.sum(axis=0)
-        if dls_rows is not None:
-            self.log_sigma.grad = dls_rows.sum(axis=0)
-        self.W.grad = np.einsum("bun,bn->un", dz, x)
-        return np.einsum("bun,un->bn", dz, self.W.data)
+                dz = part if dz is None else np.add(part, dz, out=part)
+            _add_rows(dW, dz * x[rows, None, :])
+            dx[rows] = np.einsum("bun,un->bn", dz, self.W.data)
+        for param, grad in ((self.W, dW), (self.p, dp), (self.log_sigma, dls)):
+            if param is not None:
+                param.grad = grad
+        if len(blend) == 2:  # the sigmoid's derivative s (1 - s)
+            self.alpha_raw.grad = sens[0] * (blend[1] * blend[0])
+        elif len(blend) == 3:  # the softmax's Jacobian per unit
+            soft = np.stack(blend, axis=-1)  # (U, 3)
+            g = np.stack(sens, axis=-1)
+            self.alpha_raw.grad = soft * (g - (soft * g).sum(axis=-1, keepdims=True))
+        return dx
 
 
 class FMeanLayer(HybridLayer):

@@ -27,15 +27,19 @@ def clip_global_norm(grads: list[np.ndarray], max_norm: float) -> list[np.ndarra
     """Scale all gradients by max_norm/g when the global L2 norm g exceeds it.
 
     Never mutates its inputs: at or below the norm it returns the input
-    arrays themselves, above it scaled copies.  Non-finite gradients
-    abort with :class:`NonFiniteGradient` before any scaling.
+    arrays themselves, above it scaled copies.  Non-finite gradients, and
+    finite ones whose norm overflows (a scale of max_norm / inf would
+    zero them), abort with :class:`NonFiniteGradient` before any scaling.
     """
     total = 0.0
     for i, g in enumerate(grads):
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradient(f"non-finite gradient in tensor {i}")
-        total += float(np.sum(g * g))
+        with np.errstate(over="ignore"):
+            total += float(np.sum(g * g))
     norm = np.sqrt(total)
+    if not np.isfinite(norm):
+        raise NonFiniteGradient(f"global gradient norm overflows: {norm}")
     if norm <= max_norm:
         return list(grads)
     scale = max_norm / norm

@@ -182,6 +182,22 @@ class TestTraining:
             train(cfg, model=model)
         assert "at epoch 1, batch 0 (seed 0)" in str(err.value)
 
+    def test_overflowing_gradient_norm_aborts_with_diagnostics(self, monkeypatch):
+        """Finite gradients whose global norm overflows stop the run, where a
+        clip by max_norm / inf would have zeroed the step."""
+        cfg = tiny_config()
+        model = build_model(cfg)
+        backward, first = model.backward, model.parameters()[0]
+
+        def huge_backward(dlogits):
+            out = backward(dlogits)
+            first.grad = np.full_like(first.data, 1e200)
+            return out
+
+        monkeypatch.setattr(model, "backward", huge_backward)
+        with pytest.raises(TrainingDiverged, match="overflows: inf at epoch 1, batch 0 "):
+            train(cfg, model=model)
+
     def test_best_checkpoint_restored_for_final_eval(self):
         cfg = tiny_config(max_epochs=4, aggregation="fmean-hybrid")
         report = train(cfg)

@@ -47,6 +47,21 @@ class TestClipGlobalNorm:
         with pytest.raises(NonFiniteGradient):
             clip_global_norm([np.array([np.nan])], 1.0)
 
+    def test_overflowing_norm_aborts(self):
+        """Finite gradients whose squared norm overflows abort rather than
+        being scaled by max_norm / inf to zero."""
+        with pytest.raises(NonFiniteGradient, match="norm overflows"):
+            clip_global_norm([np.array([1e200])], 1.0)
+        with pytest.raises(NonFiniteGradient):
+            clip_global_norm([np.array([1e154]), np.array([1e154])], np.inf)
+
+    def test_large_finite_norm_clips_as_before(self):
+        """A norm near the float64 limit still clips by the same arithmetic."""
+        g = [np.array([1e153, -1e153])]
+        scale = 1.0 / np.sqrt(float(np.sum(g[0] * g[0])))
+        out = clip_global_norm(g, 1.0)
+        assert out[0].tobytes() == (g[0] * scale).tobytes()
+
     def test_inputs_not_mutated(self):
         g = [np.array([3.0, 4.0])]
         clip_global_norm(g, 1.0)

@@ -20,7 +20,11 @@ checkout's own ``src`` and prints:
   which walks several blocks;
 - the same for two passes that fit in one block: the threeway layer at
   batch 8, and a ``ConvLayer(3, 64)``, the CNN's first layer, on a
-  (4, 3, 32, 32) batch of pixels in [0, 1].
+  (4, 3, 32, 32) batch of pixels in [0, 1];
+- the same for a ``HybridLayer(128, 128)`` of every kind of
+  ``KIND_PATHS`` on a ReLU'd batch of 37, four blocks and a ragged fifth;
+- the environment the bytes were made in: the Python, numpy and BLAS
+  versions, the machine and the SIMD extensions numpy found on its CPU.
 
 The strides count because later sums add in memory order.
 
@@ -30,6 +34,9 @@ are equal, so a change that should not move any number is checked with::
     python3 tools/output_digest.py > after.json
     (cd ../parent && python3 tools/output_digest.py) > before.json
     diff before.json after.json
+
+``tools/output_digest.json`` holds this checkout's digest;
+``tests/test_output_digest.py`` checks that the tool still prints it.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ import contextlib
 import hashlib
 import io
 import json
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -47,7 +55,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from aggnet import cli, gradcheck  # noqa: E402
-from aggnet.aggregation import HybridLayer  # noqa: E402
+from aggnet.aggregation import KIND_PATHS, HybridLayer  # noqa: E402
 from aggnet.experiment import ExperimentConfig, train  # noqa: E402
 from aggnet.layers import NOVEL, ConvLayer, MaxPool2x2Layer  # noqa: E402
 
@@ -96,6 +104,23 @@ def gradcheck_digest() -> dict:
     return errors
 
 
+def environment() -> dict:
+    """What the digest's bytes depend on besides the code."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": f"{blas['name']} {blas['version']}", "machine": platform.machine(),
+            "simd": config["SIMD Extensions"]["found"]}
+
+
+def _move_novel(layer, rng) -> None:
+    """Move the novel parameters off their initial values, so no blend
+    weight is 1/2 or 1/3."""
+    for param in layer.params():
+        if param.tag == NOVEL:
+            param.data = param.data + rng.uniform(-0.5, 0.5, param.data.shape)
+
+
 def _layer_pass(layer, x, rng) -> dict:
     """sha256 and strides of one forward, its backward's dx and each
     parameter grad."""
@@ -109,14 +134,12 @@ def _layer_pass(layer, x, rng) -> dict:
 
 def layers_digest() -> dict:
     """The threeway slot, the pool and the 64 -> 64 conv at the paper's
-    shapes, then the threeway slot and the 3 -> 64 conv at one block each;
-    the novel parameters are moved off their initial values so no blend
-    weight is 1/3, and the conv biases off zero."""
+    shapes, the threeway slot and the 3 -> 64 conv at one block each, then
+    every hybrid kind at a ragged batch of several blocks; the conv biases
+    are moved off zero."""
     rng = np.random.default_rng(2026)
     hybrid = HybridLayer(128, 128, "threeway-hybrid", rng)
-    for param in hybrid.params():
-        if param.tag == NOVEL:
-            param.data = param.data + rng.uniform(-0.5, 0.5, param.data.shape)
+    _move_novel(hybrid, rng)
     pool_input = np.maximum(rng.standard_normal((128, 64, 32, 32)), 0.0)
     digest = {"threeway-hybrid": _layer_pass(hybrid, rng.standard_normal((128, 128)), rng),
               "maxpool2x2": _layer_pass(MaxPool2x2Layer(), pool_input, rng)}
@@ -128,6 +151,11 @@ def layers_digest() -> dict:
     first = ConvLayer(3, 64, rng)
     first.bias.data = rng.uniform(-0.5, 0.5, 64)
     digest["conv3-one-block"] = _layer_pass(first, rng.uniform(0.0, 1.0, (4, 3, 32, 32)), rng)
+    for kind in KIND_PATHS:
+        layer = HybridLayer(128, 128, kind, rng)
+        _move_novel(layer, rng)
+        x = np.maximum(rng.standard_normal((37, 128)), 0.0)
+        digest[f"{kind}-ragged-blocks"] = _layer_pass(layer, x, rng)
     return digest
 
 
@@ -135,8 +163,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         runs = {f"{arch}-{agg}": run_digest(arch, agg, Path(tmp) / f"{arch}-{agg}")
                 for arch, agg in RUNS}
-    print(json.dumps({"runs": runs, "gradcheck": gradcheck_digest(),
-                      "layers": layers_digest()}, indent=2))
+    print(json.dumps({"environment": environment(), "runs": runs,
+                      "gradcheck": gradcheck_digest(), "layers": layers_digest()}, indent=2))
     return 0
 
 

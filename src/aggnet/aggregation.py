@@ -23,26 +23,20 @@ finite for extreme inputs, and every backward is exact (finite-difference
 checked) including the gradients of p, log sigma and the raw blend
 coefficients.
 
-The pairwise-affinity pass is the only O(n^2) piece.  It is reduced to
-three row moments (sum of affinities, affinity-weighted z and z^2) by one
-chunked numpy kernel: each chunk of rows builds its n x n affinity blocks
-in place in a reused buffer, the differences by a copy and an in-place
-subtract, and takes all three moments with one batched matmul.  The rows
-are split into one contiguous slab per CPU of the process, each filled by
-its own thread with its own buffers; small calls run as one slab on the
-calling thread.  Every row gets the same arithmetic in any slab, so the
-moments do not depend on the split.  The backward pass needs only those
-moments, never the full matrix.
+The pairwise-affinity pass is the only O(n^2) piece.  One chunked numpy
+kernel reduces it to three row moments (sum of affinities, affinity-weighted
+z and z^2), building each chunk's n x n affinity blocks in place in a reused
+buffer.  Its rows split into one contiguous slab per CPU, each filled by its
+own thread; every row gets the same arithmetic in any slab, so the moments
+do not depend on the split.  The gradients need only those moments.
 
-Every stage of the layer works per batch row, so :class:`HybridLayer`
-walks its batch in contiguous blocks of rows, each holding about 1 MB per
-(rows, units, n) array.  An eval forward keeps only its (batch, units)
-output; a train forward keeps each block's Hadamard rows, path outputs
-and caches.  The backward makes one pass over the blocks, writing each
-block's rows of the input gradient and adding its rows of every batch sum
-(the W, p, log sigma and blend gradients) into running totals in batch
-order.  Each block's kernel call splits into its slabs; the rest runs on
-the calling thread.  The results are bit for bit those of one block.
+:class:`HybridLayer` walks its batch in blocks of rows, about 1 MB per
+(rows, units, n) array.  A train forward keeps each learnable path's
+gradient factors that do not depend on the upstream, in whole-batch arrays
+the blocks fill: two (batch, units, n) arrays for F-Mean, one for the
+Gaussian path.  The backward multiplies them by the upstream block by
+block, in two reused block buffers, adding the rows of every batch sum into
+running totals in batch order.  The results are bit for bit one block's.
 """
 
 from __future__ import annotations
@@ -52,7 +46,7 @@ from threading import Thread
 
 import numpy as np
 
-from .layers import Layer, NOVEL, Parameter, _blocks, _rows, kaiming_uniform
+from .layers import Layer, NOVEL, Parameter, _blocks, _rows, _upstream, kaiming_uniform
 from .ops import (
     as_tensor,
     log_softplus,
@@ -167,43 +161,39 @@ def _affinity_moments(z: np.ndarray, sigma: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _fmean_eval(z, p, eps: float = EPS):
-    """Forward for z shaped (..., n) with per-row p; returns (A, cache).
+def _fmean_eval(z, p, eps: float = EPS, big=None, small=None):
+    """Forward for z shaped (..., n) with per-row p; returns (A, omega).
 
     The weights are softplus(z_i)^p / (sum_j softplus(z_j)^p + eps), with
     powers taken as exp(p * ln softplus(z)) so any real p is valid, and the
     normalisation done in log space so they are finite for any finite
     input.  A weights the raw z_i, not their softplus.
+
+    Given ``big`` (2, ..., n) and ``small`` (1, ...), it also writes the
+    factors of the gradients that do not depend on the upstream dA, so that
+    dz = (dA omega) * bracket and dp_rows = dA * S: omega and bracket =
+    1 + p ratio (z - A) into ``big``, with ratio = sigmoid(z) / softplus(z),
+    and S = sum(omega ln softplus(z) (z - A)) into ``small``.
     """
     lnzp = log_softplus(z)
     lnt = p[..., None] * lnzp
     hi = np.max(lnt, axis=-1, keepdims=True)
     lse = hi + np.log(np.sum(np.exp(lnt - hi), axis=-1, keepdims=True))
     ln_denom = np.logaddexp(lse, np.log(eps))
-    omega = np.exp(lnt - ln_denom)
+    omega = np.exp(lnt - ln_denom, out=None if big is None else big[0])
     A = np.sum(omega * z, axis=-1)
-    return A, (lnzp, omega, A)
+    if big is not None:
+        centered = z - A[..., None]
+        ratio = sigmoid_softplus_ratio(z)
+        np.add(1.0, p[..., None] * ratio * centered, out=big[1])
+        small[0] = np.sum(omega * lnzp * centered, axis=-1)
+    return A, omega
 
 
 def fmean_weights(z, p) -> np.ndarray:
     """Power-normalised weights over the last axis of ``z``; ``p`` is a
     scalar or an array broadcastable to the leading shape."""
-    return _fmean_eval(as_tensor(z), np.asarray(p, dtype=float))[1][1]
-
-
-def _fmean_grads(z, p, cache, dA):
-    """Exact gradients of the F-Mean reduction.
-
-    dA is the upstream gradient of A, shaped like the leading dims of z.
-    Returns (dz, dp_rows) where dp_rows has the leading shape (summed over
-    the reduction axis but not over rows).
-    """
-    lnzp, omega, A = cache
-    centered = z - A[..., None]
-    ratio = sigmoid_softplus_ratio(z)
-    dz = dA[..., None] * omega * (1.0 + p[..., None] * ratio * centered)
-    dp_rows = dA * np.sum(omega * lnzp * centered, axis=-1)
-    return dz, dp_rows
+    return _fmean_eval(as_tensor(z), np.asarray(p, dtype=float))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -236,40 +226,38 @@ def gaussian_support_weights(aff) -> np.ndarray:
     return rows / rows.sum(axis=-1, keepdims=True)
 
 
-def _gaussian_eval(z, log_sigma):
+def _gaussian_eval(z, log_sigma, big=None, small=None):
     """Forward over the last axis with sigma = exp(log_sigma), using row
-    moments only: (A, cache)."""
+    moments only: A.  Given ``big`` (1, ..., n) and ``small`` (2, ...), it
+    also writes J, and coef and X, there (:func:`_gaussian_factors`)."""
     sigma = np.exp(log_sigma)
     r, s, q = _affinity_moments(z, sigma)
     T = r.sum(axis=-1)
     alpha = r / T[..., None]
     A = np.sum(alpha * z, axis=-1)
-    return A, (sigma, r, s, q, T, A)
+    if big is not None:
+        small[0], small[1] = _gaussian_factors(z, sigma, r, s, q, T, alpha, A, big[0])
+    return A
 
 
-def _gaussian_grads(z, cache, dA):
-    """Exact gradients of the support-weighted reduction.
+def _gaussian_factors(z, sigma, r, s, q, T, alpha, A, J):
+    """The support-weighted reduction's gradients, less the upstream dA.
 
     Differentiating alpha = r / sum(r) through the pairwise kernel
-    collapses to the cached row moments:
+    collapses to the forward's row moments:
 
         dA/dz_m    = alpha_m + (q_m - z_m s_m - z_m v_m + 2 A v_m) / (T s^2)
         dA/dlogsig = (sum_i z_i c_i - A sum_i c_i) / (T s^2)
 
-    with v = z r - s and c = z^2 r - 2 z s + q.
-    Returns (dz, dlog_sigma_rows).
+    with v = z r - s and c = z^2 r - 2 z s + q.  Writes dA/dz into ``J`` and
+    returns coef = 1 / (T s^2) and X = sum(z c) - A sum(c), so that
+    dz = dA * J and dlog_sigma_rows = (dA * coef) * X.
     """
-    sigma, r, s, q, T, A = cache
-    sig2 = sigma * sigma
-    coef = 1.0 / (T * sig2)
+    coef = 1.0 / (T * (sigma * sigma))
     v = z * r - s
-    alpha = r / T[..., None]
-    dz = dA[..., None] * (
-        alpha + coef[..., None] * (q - z * s - z * v + 2.0 * A[..., None] * v)
-    )
+    np.add(alpha, coef[..., None] * (q - z * s - z * v + 2.0 * A[..., None] * v), out=J)
     c = z * z * r - 2.0 * z * s + q
-    dlog_rows = dA * coef * (np.sum(z * c, axis=-1) - A * np.sum(c, axis=-1))
-    return dz, dlog_rows
+    return coef, np.sum(z * c, axis=-1) - A * np.sum(c, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +273,7 @@ def _add_rows(total, part):
 LINEAR, FMEAN, GAUSSIAN = "linear", "fmean", "gaussian"
 
 # kind -> the paths that reduce each unit's contributions; the linear path,
-# where present, comes first, because the backward starts dz from it
+# where present, comes first, as the blend and dz's sum order expect
 KIND_PATHS = {
     "fmean": (FMEAN,),
     "gaussian": (GAUSSIAN,),
@@ -305,9 +293,8 @@ class HybridLayer(Layer):
     each path equal weight.  The bias is added once after blending.
 
     Forward and backward walk the batch in blocks of rows
-    (:func:`layers._blocks`), so no array of either has more than one
-    block's rows of (rows, units, n).  Each block's kernel call splits into
-    slabs on the CPUs; everything else runs on the calling thread.
+    (:func:`layers._blocks`); a train forward keeps each learnable path's
+    gradient factors, which the backward multiplies by the upstream.
     """
 
     def __init__(self, in_units, out_units, kind: str, rng=None, eps: float = EPS):
@@ -341,60 +328,73 @@ class HybridLayer(Layer):
 
     def forward(self, x, train: bool = True):
         x = _rows(x, self.W.data)
-        W = self.W.data
-        blend = self.blend()
-        out = np.empty((len(x), len(W)))
-        blocks = []
-        for rows in _blocks(len(x), W.size, _BLOCK_ELEMS):
+        W, blend = self.W.data, self.blend()
+        B, (U, n) = len(x), W.shape
+        out, outs = np.empty((B, U)), np.empty((len(self.paths), B, U)) if train else None
+        # path -> its gradients' (batch, units, n) and (batch, units) factors:
+        # F-Mean's omega, bracket and S, the Gaussian's J, coef and X
+        keep = {path: (np.empty((k, B, U, n)), np.empty((m, B, U)))
+                for path, k, m in ((FMEAN, 2, 1), (GAUSSIAN, 1, 2))
+                if train and path in self.paths}
+        for rows in _blocks(B, W.size, _BLOCK_ELEMS):
             z = x[rows, None, :] * W[None, :, :]  # z[b, u, i] = W[u, i] * x[b, i]
-            outs, caches = [], []
+            a = []  # each path's output
             for path in self.paths:
+                kept = [f[:, rows] for f in keep.get(path, ())]  # the block's rows
                 if path == LINEAR:
-                    a, cache = z.sum(axis=-1), None
+                    a.append(z.sum(axis=-1))
                 elif path == FMEAN:
-                    a, cache = _fmean_eval(z, self.p.data[None, :], self.eps)
+                    a.append(_fmean_eval(z, self.p.data[None, :], self.eps, *kept)[0])
                 else:
-                    a, cache = _gaussian_eval(z, self.log_sigma.data[None, :])
-                outs.append(a)
-                caches.append(cache)
-            mixed = blend[0] * outs[0]
-            for w, a in zip(blend[1:], outs[1:]):
-                mixed = mixed + w * a
+                    a.append(_gaussian_eval(z, self.log_sigma.data[None, :], *kept))
+            mixed = blend[0] * a[0]
+            for w, path_out in zip(blend[1:], a[1:]):
+                mixed = mixed + w * path_out
             np.add(mixed, self.b.data, out=out[rows])
             if train:
-                blocks.append((rows, z, outs, caches))
+                outs[:, rows] = a
         if train:
-            self._cache = (x, blend, blocks)
+            self._cache = (x, blend, outs, keep)
         return out
 
     def backward(self, upstream):
-        x, blend, blocks = self._take_cache()
-        upstream = as_tensor(upstream)
+        x, blend, outs, keep = self._take_cache()
+        B, (U, n) = len(x), self.W.data.shape
+        upstream = _upstream(upstream, (B, U))
         self.b.grad = upstream.sum(axis=0)
-        dx, U = np.empty(x.shape), len(self.b.data)
+        dx = np.empty(x.shape)
         # batch sums that start at +0 and add rows in batch order, as numpy's
         # sum over axis 0 does, so no bit depends on the blocks; sens sums the
         # upstream times each path's output, or the second's less the first's
-        dW, dp, dls = np.zeros(self.W.data.shape), np.zeros(U), np.zeros(U)
+        dW, dp, dls = np.zeros((U, n)), np.zeros(U), np.zeros(U)
         sens = np.zeros(({1: 0, 2: 1, 3: 3}[len(blend)], U))
-        for rows, z, outs, caches in blocks:
-            up = upstream[rows]
-            for total, a in zip(sens, [outs[1] - outs[0]] if len(outs) == 2 else outs):
+        blocks = _blocks(B, U * n, _BLOCK_ELEMS)
+        bufs = np.empty((2, blocks[0].stop, U, n))  # every block's dz and scratch
+        for rows in blocks:
+            up, o = upstream[rows], outs[:, rows]
+            for total, a in zip(sens, [o[1] - o[0]] if len(o) == 2 else o):
                 _add_rows(total, up * a)
-            dz = part = None  # the last block's dz goes before this one's is made
-            for path, cache, weight in zip(self.paths, caches, blend):
+            # dz = the last novel path's part + (... + (the first's + the
+            # linear broadcast)), each part made in place; IEEE addition commutes
+            dz, tmp = bufs[:, :len(up)]
+            parts, lin = iter((dz, tmp)), None
+            for path, weight in zip(self.paths, blend):
                 d = up * weight
                 if path == LINEAR:
-                    part = d[..., None]
-                elif path == FMEAN:
-                    part, dp_rows = _fmean_grads(z, self.p.data[None, :], cache, d)
-                    _add_rows(dp, dp_rows)
+                    lin = d[..., None]
+                    continue
+                (big, small), part = keep[path], next(parts)
+                np.multiply(d[..., None], big[0, rows], out=part)
+                if path == FMEAN:
+                    np.multiply(part, big[1, rows], out=part)
+                    _add_rows(dp, d * small[0, rows])
                 else:
-                    part, dls_rows = _gaussian_grads(z, cache, d)
-                    _add_rows(dls, dls_rows)
-                # IEEE addition commutes
-                dz = part if dz is None else np.add(part, dz, out=part)
-            _add_rows(dW, dz * x[rows, None, :])
+                    _add_rows(dls, d * small[0, rows] * small[1, rows])
+                if part is tmp:
+                    np.add(tmp, dz, out=dz)
+                elif lin is not None:
+                    np.add(dz, lin, out=dz)
+            _add_rows(dW, np.multiply(dz, x[rows, None, :], out=tmp))
             dx[rows] = np.einsum("bun,un->bn", dz, self.W.data)
         for param, grad in ((self.W, dW), (self.p, dp), (self.log_sigma, dls)):
             if param is not None:

@@ -3,8 +3,10 @@
 Every layer caches on forward exactly what its backward needs; backward
 consumes the cache, so calling it a second time without a fresh forward
 raises :class:`NoCachedForward`.  A layer's parameters are its
-:class:`Parameter` attributes.  Backward assigns each one's ``.grad``,
-never accumulating into it, and returns the input gradient.  A model's
+:class:`Parameter` attributes.  Backward refuses an upstream gradient not
+shaped like its forward's output (:class:`ShapeError`), then assigns each
+parameter's ``.grad``, never accumulating into it, and returns the input
+gradient.  A model's
 first layer (linear or conv) is called with ``need_dx=False``: nothing
 reads its input gradient, so it computes none and returns None.
 
@@ -103,6 +105,15 @@ def _rows(x, W: np.ndarray) -> np.ndarray:
     return x
 
 
+def _upstream(upstream, shape) -> np.ndarray:
+    """``upstream`` as a tensor, checked to have the forward output's ``shape``."""
+    upstream = as_tensor(upstream)
+    if upstream.shape != shape:
+        raise ShapeError(f"upstream gradient of shape {upstream.shape} "
+                         f"for an output of shape {shape}")
+    return upstream
+
+
 class LinearLayer(Layer):
     """y = x W^T + b with W shaped (out_units, in_units)."""
 
@@ -118,7 +129,7 @@ class LinearLayer(Layer):
 
     def backward(self, upstream, need_dx: bool = True):
         x = self._take_cache()
-        upstream = as_tensor(upstream)
+        upstream = _upstream(upstream, (len(x), len(self.W.data)))
         self.W.grad = upstream.T @ x
         self.b.grad = upstream.sum(axis=0)
         return upstream @ self.W.data if need_dx else None
@@ -134,7 +145,8 @@ class ReLULayer(Layer):
         return np.maximum(x, 0.0)
 
     def backward(self, upstream):
-        return np.where(self._take_cache(), upstream, 0.0)
+        mask = self._take_cache()
+        return np.where(mask, _upstream(upstream, mask.shape), 0.0)
 
 
 class FlattenLayer(Layer):
@@ -147,7 +159,8 @@ class FlattenLayer(Layer):
         return x.reshape(x.shape[0], -1)
 
     def backward(self, upstream):
-        return as_tensor(upstream).reshape(self._take_cache())
+        shape = self._take_cache()
+        return _upstream(upstream, (shape[0], int(np.prod(shape[1:])))).reshape(shape)
 
 
 def _windows(x: np.ndarray) -> np.ndarray:
@@ -217,9 +230,10 @@ class ConvLayer(Layer):
         return out
 
     def backward(self, upstream, need_dx: bool = True):
-        upstream = as_tensor(upstream)
-        # no local holds the cached input: it is freed before the input gradient
-        self.kernels.grad = _kernel_grad(self._take_cache(), upstream)
+        x = self._take_cache()
+        upstream = _upstream(upstream, (len(x), len(self.kernels.data), *x.shape[2:]))
+        self.kernels.grad = _kernel_grad(x, upstream)
+        del x  # the cached input is freed before the input gradient
         self.bias.grad = upstream.sum(axis=(0, 2, 3))
         if not need_dx:
             return None
@@ -254,6 +268,7 @@ class MaxPool2x2Layer(Layer):
 
     def backward(self, upstream):
         shape, masks = self._take_cache()
+        upstream = _upstream(upstream, masks[0].shape)
         dx = np.zeros(shape)
         for view, mask in zip(pool_views(dx), masks):
             np.copyto(view, upstream, where=mask)

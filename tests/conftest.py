@@ -21,3 +21,19 @@ def traced_peak():
             tracemalloc.stop()
 
     return peak
+
+
+@pytest.fixture
+def traced_kept():
+    """``kept(fn)``: the bytes that ``fn()`` left allocated beyond what was
+    live before it, its return value dropped, as tracemalloc counts them."""
+    def kept(fn):
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[0] - live
+        finally:
+            tracemalloc.stop()
+
+    return kept

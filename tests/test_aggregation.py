@@ -768,9 +768,8 @@ class TestHybridBackward:
 
     def test_threeway_backward_allocations(self, traced_peak):
         """One threeway backward holds at most 6.5 (batch, units, n) float64
-        arrays at once (measured 6.35); filling a separate array with the
-        linear path's broadcast before adding the novel paths costs one
-        more."""
+        arrays at once (measured 2.23: its two block buffers; evaluating
+        each path's gradient factors in the backward held 6.35)."""
         rng = np.random.default_rng(34)
         B, U, n = 32, 32, 64
         layer = HybridLayer(n, U, "threeway-hybrid", rng)
@@ -841,7 +840,7 @@ class TestRowBlocks:
 
     def test_eval_forward_memory(self, traced_peak):
         """An eval forward at the paper's slot and eval batch holds less than
-        one (batch, units, n) array, 32 MiB (measured 8.3 MiB; a forward
+        one (batch, units, n) array, 32 MiB (measured 6.3 MiB; a forward
         over the whole batch at once held 257.0 MiB)."""
         rng = np.random.default_rng(36)
         layer = HybridLayer(128, 128, "threeway-hybrid", rng)
@@ -850,7 +849,7 @@ class TestRowBlocks:
 
     def test_backward_memory(self, traced_peak):
         """A backward at the paper's slot holds at most 2.5 (batch, units, n)
-        arrays beyond its cache (measured 0.41: one block's temporaries; a
+        arrays beyond its cache (measured 0.15: its two block buffers; a
         backward that gathered the full dz held 1.41)."""
         rng = np.random.default_rng(37)
         B, U, n = 128, 128, 128
@@ -862,8 +861,8 @@ class TestRowBlocks:
     @pytest.mark.parametrize("batch", [128, 512])
     def test_backward_memory_does_not_grow_with_the_batch(self, batch, traced_peak):
         """A backward at the paper's slot holds at most 12 of one block's
-        (rows, units, n) arrays, 12 MiB, whatever the batch (measured 6.5 MiB
-        at batch 128 and 6.9 at 512; gathering the full dz held 22.5 and
+        (rows, units, n) arrays, 12 MiB, whatever the batch (measured 2.3 MiB
+        at batch 128 and 2.7 at 512; gathering the full dz held 22.5 and
         71.3)."""
         rng = np.random.default_rng(39)
         U = n = 128
@@ -871,6 +870,20 @@ class TestRowBlocks:
         layer.forward(rng.standard_normal((batch, n)))
         up = rng.standard_normal((batch, U))
         assert traced_peak(lambda: layer.backward(up)) <= 12 * aggregation._BLOCK_ELEMS * 8
+
+    @pytest.mark.parametrize("kind, arrays", [
+        ("fmean-hybrid", 2.5), ("gaussian-hybrid", 1.5), ("threeway-hybrid", 3.5),
+    ])
+    def test_train_forward_keeps_only_gradient_factors(self, kind, arrays, traced_kept):
+        """A train forward at the paper's slot keeps at most ``arrays``
+        (batch, units, n) arrays for the backward: F-Mean's omega and bracket,
+        the Gaussian path's J (measured 2.02, 1.03 and 3.05; keeping each
+        block's z and path intermediates kept 3.02, 4.03 and 6.03)."""
+        rng = np.random.default_rng(40)
+        B = U = n = 128
+        layer = HybridLayer(n, U, kind, rng)
+        x = rng.standard_normal((B, n))
+        assert traced_kept(lambda: layer.forward(x)) <= arrays * B * U * n * 8
 
     def test_each_block_kernel_call_keeps_both_cpus(self, two_cpus, threads_started):
         """Each block's kernel call is large enough to split into two slabs,

@@ -2,6 +2,7 @@
 and the protocol every layer keeps: its parameter list and gradients."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -424,6 +425,27 @@ def test_backward_replaces_every_gradient(name):
     assert fresh and len(fresh) == len(stale)
     for f, s in zip(fresh, stale):
         assert np.array_equal(f, s)
+
+
+@pytest.mark.parametrize("name", [*GRAD_CASES, "relu", "pool", "flatten"])
+def test_misshaped_upstream_rejected(name):
+    """A backward whose upstream is not shaped like its forward's output
+    raises ShapeError naming both shapes before it assigns any gradient,
+    also where numpy would broadcast the upstream."""
+    build, shape = {**GRAD_CASES,
+                    "relu": (lambda rng: ReLULayer(), (3, 4)),
+                    "pool": (lambda rng: MaxPool2x2Layer(), (2, 3, 4, 4)),
+                    "flatten": (lambda rng: FlattenLayer(), (2, 3, 2, 2))}[name]
+    rng = np.random.default_rng(43)
+    x = rng.standard_normal(shape)
+    out = build(rng).forward(x).shape
+    for bad in [(out[0] + 1, *out[1:]), (1, *out[1:]), (*out[:-1], 1), ()]:
+        net = build(rng)
+        net.forward(x)
+        with pytest.raises(ShapeError, match=re.escape(f"{bad}") + ".*" + re.escape(f"{out}")):
+            net.backward(np.ones(bad))
+        params = net.parameters() if hasattr(net, "parameters") else net.params()
+        assert all(p.grad is None for p in params)
 
 
 @pytest.mark.parametrize("build, shape", [

@@ -31,12 +31,15 @@ own thread; every row gets the same arithmetic in any slab, so the moments
 do not depend on the split.  The gradients need only those moments.
 
 :class:`HybridLayer` walks its batch in blocks of rows, about 1 MB per
-(rows, units, n) array.  A train forward keeps each learnable path's
-gradient factors that do not depend on the upstream, in whole-batch arrays
-the blocks fill: two (batch, units, n) arrays for F-Mean, one for the
-Gaussian path.  The backward multiplies them by the upstream block by
-block, in two reused block buffers, adding the rows of every batch sum into
-running totals in batch order.  The results are bit for bit one block's.
+(rows, units, n) array.  A train forward keeps, in whole-batch arrays the
+blocks fill, what each learnable path's gradients need beyond its output:
+the Gaussian path's (batch, units, n) dA/dz, whose rebuild would take a
+second kernel pass, and only (batch, units) values for F-Mean, whose
+(rows, units, n) factors the backward rebuilds elementwise from them.  The
+backward walks blocks a quarter the forward's size, which bounds that
+rebuild's temporaries, multiplies the factors by the upstream in two
+reused block buffers, and adds the rows of every batch sum into running
+totals in batch order.  The results are bit for bit one block's.
 """
 
 from __future__ import annotations
@@ -161,7 +164,7 @@ def _affinity_moments(z: np.ndarray, sigma: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _fmean_eval(z, p, eps: float = EPS, big=None, small=None):
+def _fmean_eval(z, p, eps: float = EPS, small=None):
     """Forward for z shaped (..., n) with per-row p; returns (A, omega).
 
     The weights are softplus(z_i)^p / (sum_j softplus(z_j)^p + eps), with
@@ -169,25 +172,35 @@ def _fmean_eval(z, p, eps: float = EPS, big=None, small=None):
     normalisation done in log space so they are finite for any finite
     input.  A weights the raw z_i, not their softplus.
 
-    Given ``big`` (2, ..., n) and ``small`` (1, ...), it also writes the
-    factors of the gradients that do not depend on the upstream dA, so that
-    dz = (dA omega) * bracket and dp_rows = dA * S: omega and bracket =
-    1 + p ratio (z - A) into ``big``, with ratio = sigmoid(z) / softplus(z),
-    and S = sum(omega ln softplus(z) (z - A)) into ``small``.
+    Given ``small`` (2, ...), it also writes there S = sum(omega ln
+    softplus(z) (z - A)), so that dp_rows = dA * S, and the log denominator
+    ln_denom, from which :func:`_fmean_factors` rebuilds omega.
     """
     lnzp = log_softplus(z)
     lnt = p[..., None] * lnzp
     hi = np.max(lnt, axis=-1, keepdims=True)
     lse = hi + np.log(np.sum(np.exp(lnt - hi), axis=-1, keepdims=True))
     ln_denom = np.logaddexp(lse, np.log(eps))
-    omega = np.exp(lnt - ln_denom, out=None if big is None else big[0])
+    omega = np.exp(lnt - ln_denom)
     A = np.sum(omega * z, axis=-1)
-    if big is not None:
-        centered = z - A[..., None]
-        ratio = sigmoid_softplus_ratio(z)
-        np.add(1.0, p[..., None] * ratio * centered, out=big[1])
-        small[0] = np.sum(omega * lnzp * centered, axis=-1)
+    if small is not None:
+        small[0] = np.sum(omega * lnzp * (z - A[..., None]), axis=-1)
+        small[1] = ln_denom[..., 0]
     return A, omega
+
+
+def _fmean_factors(z, p, A, ln_denom, omega):
+    """F-Mean's (..., n) gradient factors less the upstream dA, rebuilt from
+    the forward's output ``A`` and log denominator by its own operations, so
+    bit for bit its values: writes omega into ``omega`` and returns bracket =
+    1 + p ratio (z - A), with ratio = sigmoid(z) / softplus(z), so that
+    dz = (dA omega) * bracket.  Elementwise only: no row depends on another.
+    """
+    p = p[..., None]
+    np.exp(p * log_softplus(z) - ln_denom[..., None], out=omega)
+    bracket = p * sigmoid_softplus_ratio(z)
+    bracket *= z - A[..., None]
+    return np.add(1.0, bracket, out=bracket)
 
 
 def fmean_weights(z, p) -> np.ndarray:
@@ -293,8 +306,10 @@ class HybridLayer(Layer):
     each path equal weight.  The bias is added once after blending.
 
     Forward and backward walk the batch in blocks of rows
-    (:func:`layers._blocks`); a train forward keeps each learnable path's
-    gradient factors, which the backward multiplies by the upstream.
+    (:func:`layers._blocks`).  A train forward keeps the Gaussian path's
+    gradient factors and F-Mean's S and log denominator; the backward
+    rebuilds F-Mean's factors from those and multiplies each path's by the
+    upstream.
     """
 
     def __init__(self, in_units, out_units, kind: str, rng=None, eps: float = EPS):
@@ -331,11 +346,12 @@ class HybridLayer(Layer):
         W, blend = self.W.data, self.blend()
         B, (U, n) = len(x), W.shape
         out, outs = np.empty((B, U)), np.empty((len(self.paths), B, U)) if train else None
-        # path -> its gradients' (batch, units, n) and (batch, units) factors:
-        # F-Mean's omega, bracket and S, the Gaussian's J, coef and X
-        keep = {path: (np.empty((k, B, U, n)), np.empty((m, B, U)))
-                for path, k, m in ((FMEAN, 2, 1), (GAUSSIAN, 1, 2))
-                if train and path in self.paths}
+        # path -> what its gradients need beyond the outputs: F-Mean's
+        # (batch, units) S and ln_denom, the Gaussian's (batch, units, n) J
+        # and (batch, units) coef and X
+        shapes = {FMEAN: [(2, B, U)], GAUSSIAN: [(1, B, U, n), (2, B, U)]}
+        keep = {path: [np.empty(shape) for shape in shapes[path]]
+                for path in self.paths if train and path in shapes}
         for rows in _blocks(B, W.size, _BLOCK_ELEMS):
             z = x[rows, None, :] * W[None, :, :]  # z[b, u, i] = W[u, i] * x[b, i]
             a = []  # each path's output
@@ -359,7 +375,8 @@ class HybridLayer(Layer):
 
     def backward(self, upstream):
         x, blend, outs, keep = self._take_cache()
-        B, (U, n) = len(x), self.W.data.shape
+        W = self.W.data
+        B, (U, n) = len(x), W.shape
         upstream = _upstream(upstream, (B, U))
         self.b.grad = upstream.sum(axis=0)
         dx = np.empty(x.shape)
@@ -368,7 +385,10 @@ class HybridLayer(Layer):
         # upstream times each path's output, or the second's less the first's
         dW, dp, dls = np.zeros((U, n)), np.zeros(U), np.zeros(U)
         sens = np.zeros(({1: 0, 2: 1, 3: 3}[len(blend)], U))
-        blocks = _blocks(B, U * n, _BLOCK_ELEMS)
+        # every row's work is its own, so these blocks need not be the
+        # forward's; a quarter of their size bounds F-Mean's rebuild, whose
+        # elementwise passes hold several block arrays at once
+        blocks = _blocks(B, U * n, _BLOCK_ELEMS // 4)
         bufs = np.empty((2, blocks[0].stop, U, n))  # every block's dz and scratch
         for rows in blocks:
             up, o = upstream[rows], outs[:, rows]
@@ -378,24 +398,29 @@ class HybridLayer(Layer):
             # linear broadcast)), each part made in place; IEEE addition commutes
             dz, tmp = bufs[:, :len(up)]
             parts, lin = iter((dz, tmp)), None
-            for path, weight in zip(self.paths, blend):
+            for path, weight, a in zip(self.paths, blend, o):
                 d = up * weight
                 if path == LINEAR:
                     lin = d[..., None]
                     continue
-                (big, small), part = keep[path], next(parts)
-                np.multiply(d[..., None], big[0, rows], out=part)
-                if path == FMEAN:
-                    np.multiply(part, big[1, rows], out=part)
-                    _add_rows(dp, d * small[0, rows])
-                else:
-                    _add_rows(dls, d * small[0, rows] * small[1, rows])
+                kept, part = [f[:, rows] for f in keep[path]], next(parts)
+                if path == FMEAN:  # part = (d omega) * bracket
+                    (small,) = kept
+                    z = x[rows, None, :] * W[None, :, :]
+                    bracket = _fmean_factors(z, self.p.data[None, :], a, small[1], part)
+                    np.multiply(d[..., None], part, out=part)
+                    np.multiply(part, bracket, out=part)
+                    _add_rows(dp, d * small[0])
+                else:  # part = d J
+                    big, small = kept
+                    np.multiply(d[..., None], big[0], out=part)
+                    _add_rows(dls, d * small[0] * small[1])
                 if part is tmp:
                     np.add(tmp, dz, out=dz)
                 elif lin is not None:
                     np.add(dz, lin, out=dz)
             _add_rows(dW, np.multiply(dz, x[rows, None, :], out=tmp))
-            dx[rows] = np.einsum("bun,un->bn", dz, self.W.data)
+            dx[rows] = np.einsum("bun,un->bn", dz, W)
         for param, grad in ((self.W, dW), (self.p, dp), (self.log_sigma, dls)):
             if param is not None:
                 param.grad = grad

@@ -186,6 +186,16 @@ def batches(data: Dataset, batch_size: int, shuffle_seed: int):
         yield data.images[sel], data.labels[sel]
 
 
+def _sha256(path: Path) -> str:
+    """The hex SHA-256 digest of the file at ``path``, read 64 KiB at a time
+    so the ~170 MB archive is never held whole."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 16), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def fetch_cifar10(data_dir, url: str = CIFAR10_URL, sha256: str = CIFAR10_SHA256):
     """Download, checksum-verify and unpack the CIFAR-10 binary archive.
 
@@ -213,7 +223,7 @@ def fetch_cifar10(data_dir, url: str = CIFAR10_URL, sha256: str = CIFAR10_SHA256
             os.replace(part, archive)
         finally:
             part.unlink(missing_ok=True)
-    digest = hashlib.sha256(archive.read_bytes()).hexdigest()
+    digest = _sha256(archive)
     if digest != sha256.lower():
         raise DataFormatError(
             f"archive checksum mismatch: got {digest}, expected {sha256}"

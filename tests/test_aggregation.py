@@ -768,8 +768,10 @@ class TestHybridBackward:
 
     def test_threeway_backward_allocations(self, traced_peak):
         """One threeway backward holds at most 6.5 (batch, units, n) float64
-        arrays at once (measured 2.23: its two block buffers; evaluating
-        each path's gradient factors in the backward held 6.35)."""
+        arrays at once (measured 4.72: its two block buffers and F-Mean's
+        rebuild, in blocks of half this batch; the same rebuild in the
+        forward's one block held 8.36, and evaluating each path's gradient
+        factors in the backward 6.35)."""
         rng = np.random.default_rng(34)
         B, U, n = 32, 32, 64
         layer = HybridLayer(n, U, "threeway-hybrid", rng)
@@ -802,37 +804,64 @@ class TestHybridBackward:
                 assert rel_error(p.grad, fd_gradient(f, p.data)) < 1e-5
 
 
-def _layer_results(kind, batch, n, units):
+def _layer_results(kind, batch, n, units, before_backward=lambda: None):
     """A seeded layer's eval and train outputs, dx and every parameter grad,
-    with the learnable paths' parameters drawn away from their start."""
+    with the learnable paths' parameters drawn away from their start;
+    ``before_backward()`` runs between the train forward and the backward."""
     rng = np.random.default_rng(35)
     layer = HybridLayer(n, units, kind, rng)
     for param in layer.params()[2:]:
         param.data = rng.uniform(-1.0, 1.0, size=param.data.shape)
     x = rng.standard_normal((batch, n))
     up = rng.standard_normal((batch, units))
-    results = [layer.forward(x, train=False), layer.forward(x), layer.backward(up)]
+    results = [layer.forward(x, train=False), layer.forward(x)]
+    before_backward()
+    results.append(layer.backward(up))
     return results + [param.grad for param in layer.params()]
+
+
+def _ragged(blocks):
+    """Whether ``blocks`` ends in a block shorter than its first."""
+    return blocks[-1].stop - blocks[-1].start < blocks[0].stop
 
 
 class TestRowBlocks:
     @pytest.mark.parametrize("kind", list(KIND_PATHS))
     @pytest.mark.parametrize("shape, block_elems", [
-        ((37, 128, 128), None),  # four blocks of 8 rows and a ragged one of 5
-        ((7, 5, 3), 2 * 5 * 3),  # three blocks of 2 rows and a ragged one of 1
+        ((37, 128, 128), None),  # forward blocks of 8 rows and a ragged one of 5
+        ((7, 5, 3), 2 * 5 * 3),  # forward blocks of 2 rows and a ragged one of 1
+        # a one-block forward; backward blocks of 2 rows and a ragged one of 1
+        pytest.param((7, 5, 3), (None, 4 * 2 * 5 * 3), id="shape2-backward-only"),
     ])
     def test_blocks_equal_one_block(self, kind, shape, block_elems, monkeypatch):
         """Outputs, dx and every gradient are bit for bit those of one block,
-        and laid out alike."""
+        and laid out alike, also where the backward's blocks are not the
+        forward's.  ``block_elems`` sets ``_BLOCK_ELEMS`` for the whole call,
+        or as a (forward, backward) pair, None keeping the default."""
         batch, n, units = shape
-        if block_elems is not None:
-            monkeypatch.setattr(aggregation, "_BLOCK_ELEMS", block_elems)
-        blocks = _blocks(batch, n * units, aggregation._BLOCK_ELEMS)
-        assert len(blocks) >= 3 and blocks[-1].stop - blocks[-1].start < blocks[0].stop
-        got = _layer_results(kind, *shape)
+        pair = block_elems if isinstance(block_elems, tuple) else (block_elems, None)
+        walked = []  # the blocks of the eval forward, the train forward, the backward
+
+        def spy(*args):
+            walked.append(_blocks(*args))
+            return walked[-1]
+
+        def patch(elems):
+            if elems is not None:
+                monkeypatch.setattr(aggregation, "_BLOCK_ELEMS", elems)
+
+        monkeypatch.setattr(aggregation, "_blocks", spy)
+        patch(pair[0])
+        got = _layer_results(kind, *shape, before_backward=lambda: patch(pair[1]))
+        forward, backward = walked[1:]
+        if pair[1] is None:
+            assert len(forward) >= 3 and _ragged(forward) and len(backward) >= len(forward)
+        else:
+            assert len(forward) == 1 and len(backward) >= 3 and _ragged(backward)
+        walked.clear()
         monkeypatch.setattr(aggregation, "_BLOCK_ELEMS", 1 << 40)
-        assert len(_blocks(batch, n * units, aggregation._BLOCK_ELEMS)) == 1
         want = _layer_results(kind, *shape)
+        assert [len(blocks) for blocks in walked] == [1, 1, 1]
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g.shape == w.shape and g.strides == w.strides
@@ -849,8 +878,9 @@ class TestRowBlocks:
 
     def test_backward_memory(self, traced_peak):
         """A backward at the paper's slot holds at most 2.5 (batch, units, n)
-        arrays beyond its cache (measured 0.15: its two block buffers; a
-        backward that gathered the full dz held 1.41)."""
+        arrays beyond its cache (measured 0.16: its two block buffers and
+        F-Mean's rebuild, each of 2 rows; a backward that gathered the full
+        dz held 1.41)."""
         rng = np.random.default_rng(37)
         B, U, n = 128, 128, 128
         layer = HybridLayer(n, U, "threeway-hybrid", rng)
@@ -861,8 +891,8 @@ class TestRowBlocks:
     @pytest.mark.parametrize("batch", [128, 512])
     def test_backward_memory_does_not_grow_with_the_batch(self, batch, traced_peak):
         """A backward at the paper's slot holds at most 12 of one block's
-        (rows, units, n) arrays, 12 MiB, whatever the batch (measured 2.3 MiB
-        at batch 128 and 2.7 at 512; gathering the full dz held 22.5 and
+        (rows, units, n) arrays, 12 MiB, whatever the batch (measured 2.6 MiB
+        at batch 128 and 3.0 at 512; gathering the full dz held 22.5 and
         71.3)."""
         rng = np.random.default_rng(39)
         U = n = 128
@@ -872,18 +902,37 @@ class TestRowBlocks:
         assert traced_peak(lambda: layer.backward(up)) <= 12 * aggregation._BLOCK_ELEMS * 8
 
     @pytest.mark.parametrize("kind, arrays", [
-        ("fmean-hybrid", 2.5), ("gaussian-hybrid", 1.5), ("threeway-hybrid", 3.5),
+        ("fmean-hybrid", 0.5), ("gaussian-hybrid", 1.5), ("threeway-hybrid", 1.5),
     ])
     def test_train_forward_keeps_only_gradient_factors(self, kind, arrays, traced_kept):
         """A train forward at the paper's slot keeps at most ``arrays``
-        (batch, units, n) arrays for the backward: F-Mean's omega and bracket,
-        the Gaussian path's J (measured 2.02, 1.03 and 3.05; keeping each
-        block's z and path intermediates kept 3.02, 4.03 and 6.03)."""
+        (batch, units, n) arrays for the backward: the Gaussian path's J, and
+        for F-Mean only (batch, units) values (measured 0.03, 1.03 and 1.06;
+        keeping F-Mean's omega and bracket kept 2.02, 1.03 and 3.05, and each
+        block's z and path intermediates 3.02, 4.03 and 6.03)."""
         rng = np.random.default_rng(40)
         B = U = n = 128
         layer = HybridLayer(n, U, kind, rng)
         x = rng.standard_normal((B, n))
         assert traced_kept(lambda: layer.forward(x)) <= arrays * B * U * n * 8
+
+    @pytest.mark.parametrize("kind, arrays", [("fmean-hybrid", 1), ("threeway-hybrid", 2)])
+    def test_train_step_peak(self, kind, arrays, traced_peak):
+        """A train forward plus backward at the paper's slot, on ReLU'd input,
+        holds at most ``arrays`` (batch, units, n) arrays at once (measured
+        0.42 and 1.57; keeping F-Mean's omega and bracket from the forward
+        held 2.61 and 3.64)."""
+        rng = np.random.default_rng(41)
+        B = U = n = 128
+        layer = HybridLayer(n, U, kind, rng)
+        x = np.maximum(rng.standard_normal((B, n)), 0.0)
+        up = rng.standard_normal((B, U))
+
+        def step():
+            layer.forward(x)
+            layer.backward(up)
+
+        assert traced_peak(step) <= arrays * B * U * n * 8
 
     def test_each_block_kernel_call_keeps_both_cpus(self, two_cpus, threads_started):
         """Each block's kernel call is large enough to split into two slabs,

@@ -377,6 +377,21 @@ class TestFetch:
         train, test = load_cifar10(fetch_cifar10(dest, sha256=digest.upper()))
         assert len(train) == 20 and len(test) == 4
 
+    def test_checksum_streams_the_archive(self, tmp_path, traced_peak):
+        """The archive is hashed in pieces: a fetch never holds as much as
+        half of it at once (measured 0.12 of it; an archive read whole to
+        hash it held 1.00)."""
+        import hashlib
+        import urllib.request  # noqa: F401  loaded here, so the fetch's own import is not counted
+
+        dest = tmp_path / "dest"
+        tar_path = self._cifar_archive(tmp_path, dest, records=64)  # about 1.2 MB
+        size = tar_path.stat().st_size
+        digest = hashlib.sha256(tar_path.read_bytes()).hexdigest()
+        assert traced_peak(lambda: fetch_cifar10(dest, sha256=digest)) < size / 2
+        train, test = load_cifar10(dest)
+        assert len(train) == 5 * 64 and len(test) == 64
+
     def test_checksum_mismatch_rejected(self, tmp_path):
         bad = tmp_path / "cifar-10-binary.tar.gz"
         bad.write_bytes(b"not a real archive")

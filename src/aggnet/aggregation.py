@@ -26,9 +26,7 @@ coefficients.
 The pairwise-affinity pass is the only O(n^2) piece.  One chunked numpy
 kernel reduces it to three row moments (sum of affinities, affinity-weighted
 z and z^2), building each chunk's n x n affinity blocks in place in a reused
-buffer.  Its rows split into one contiguous slab per CPU, each filled by its
-own thread; every row gets the same arithmetic in any slab, so the moments
-do not depend on the split.  The gradients need only those moments.
+buffer, on the thread that calls it.  The gradients need only those moments.
 
 :class:`HybridLayer` walks its batch in blocks of rows, about 1 MB per
 (rows, units, n) array.  A train forward keeps, in whole-batch arrays the
@@ -39,24 +37,26 @@ second kernel pass, and only (batch, units) values for F-Mean, whose
 backward walks blocks a quarter the forward's size, which bounds that
 rebuild's temporaries, multiplies the factors by the upstream in two
 reused block buffers, and adds the rows of every batch sum into running
-totals in batch order.  The results are bit for bit one block's.
+totals in batch order.
+
+Each forward and each backward is the package's one thread split: it
+starts one thread per CPU the process may run on, no more than its rows
+fill full-size blocks, and joins them before it returns.  The threads
+share the block budget, each walking blocks of 1/T of it, so a pass holds
+as much at once on T threads as on one.  Per-row work runs on any of them;
+every batch sum adds its rows in batch order on the calling thread.  The
+results are bit for bit those of one block on one thread.
 """
 
 from __future__ import annotations
 
 import os
-from threading import Thread
+from threading import Barrier, Thread
 
 import numpy as np
 
 from .layers import Layer, NOVEL, Parameter, _blocks, _rows, _upstream, kaiming_uniform
-from .ops import (
-    as_tensor,
-    log_softplus,
-    sigmoid,
-    sigmoid_softplus_ratio,
-    softmax,
-)
+from .ops import as_tensor, log_softplus, log_softplus_and_ratio, sigmoid, softmax
 
 EPS = 1e-8
 
@@ -65,24 +65,24 @@ EPS = 1e-8
 # enough that the small shapes of gradcheck run as one chunk
 _CHUNK_ELEMS = 1 << 16
 
-# pairs (rows * n^2) each slab holds at least: about 0.4 ms of kernel
-# work, where a second thread starts to pay for its start and join, so
-# gradcheck's shapes (a few hundred pairs) run on the calling thread
-_SLAB_MIN_PAIRS = 1 << 17
-
 # float64 elements in each (rows, units, n) array of one block of batch rows
 # (1 MB, 8 rows at 128 -> 128): the hybrid layer walks its batch in such
 # blocks, so no (batch, units, n) temporary is made.  A block's temporaries
 # (about 8 MB) stay small enough for glibc to reuse its heap for them; at
 # 2 MB per array it trimmed the heap and faulted them in again every block
-# (74k against 3.8k minor faults per clean+noisy eval of 256 images).  At
-# n=128 a block's kernel call holds 2^24 pairs, a slab for each of 128 CPUs
+# (74k against 3.8k minor faults per clean+noisy eval of 256 images).  The
+# budget is a whole pass's: its T threads each walk blocks of 1/T of it, so
+# a pass holds as much at once on any number of threads (two threads each
+# walking blocks of the whole budget took a train benchmark run's peak RSS
+# from 87.1 to 96.0 MB)
 _BLOCK_ELEMS = 1 << 17
 
 
-def _affinity_rows(Z, neg_c, out, start, stop):
-    """Fill rows [start, stop) of the (3, M, n) moment planes ``out`` from the
-    (M, n) rows ``Z`` and their (M,) factors -1 / (2 sigma^2).
+def _affinity_moments(z: np.ndarray, sigma: np.ndarray):
+    """Row moments of the Gaussian affinity matrix over the last axis.
+
+    Returns (r, s, q) with r_i = sum_j Aff(i,j), s_i = sum_j Aff(i,j) z_j,
+    q_i = sum_j Aff(i,j) z_j^2, each shaped like ``z``.
 
     Each chunk of rows fills one buffer with z_j - z_i, squares, scales
     and exponentiates it in place, then takes all three moments with one
@@ -91,15 +91,21 @@ def _affinity_rows(Z, neg_c, out, start, stop):
     straight into three contiguous planes: the backward pass reads them
     faster than strided views.  The subtract runs in two passes, a copy
     of z_j and an in-place subtract of z_i: the same IEEE subtraction,
-    without numpy's slow loop for an operand with a stride-0 axis.
+    without numpy's slow loop for an operand with a stride-0 axis.  It
+    runs on the calling thread with buffers of its own, so threads that
+    call it at once (the hybrid layer's) do not share any.
     """
-    n = Z.shape[1]
-    step = max(1, min(stop - start, _CHUNK_ELEMS // (n * n)))
+    n = z.shape[-1]
+    Z = z.reshape(-1, n)
+    neg_c = -np.broadcast_to(1.0 / (2.0 * sigma * sigma), z.shape[:-1]).reshape(-1)
+    M = Z.shape[0]
+    out = np.empty((3, M, n))
+    step = max(1, min(M, _CHUNK_ELEMS // (n * n)))
     G = np.empty((step, n, n))
     P = np.empty((step, 3, n))
     P[:, 0] = 1.0
-    for lo in range(start, stop, step):
-        hi = min(lo + step, stop)
+    for lo in range(0, M, step):
+        hi = min(lo + step, M)
         g, p, zc = G[: hi - lo], P[: hi - lo], Z[lo:hi]
         g[...] = zc[:, None, :]
         g -= zc[:, :, None]
@@ -109,53 +115,6 @@ def _affinity_rows(Z, neg_c, out, start, stop):
         p[:, 1] = zc
         np.multiply(zc, zc, out=p[:, 2])
         np.matmul(p, g, out=out[:, lo:hi].transpose(1, 0, 2))
-
-
-def _affinity_moments(z: np.ndarray, sigma: np.ndarray):
-    """Row moments of the Gaussian affinity matrix over the last axis.
-
-    Returns (r, s, q) with r_i = sum_j Aff(i,j), s_i = sum_j Aff(i,j) z_j,
-    q_i = sum_j Aff(i,j) z_j^2, each shaped like ``z``.
-
-    The rows are split into one contiguous slab per CPU the process may
-    run on, each slab holding at least ``_SLAB_MIN_PAIRS`` pairs.  The
-    calling thread fills the first slab and one thread per other slab
-    fills its own, each with its own chunk buffers
-    (:func:`_affinity_rows`); numpy's elementwise loops and matmul release
-    the interpreter lock, so the slabs run at once.  Every row sees the
-    same arithmetic whichever slab holds it, so the moments are bit for
-    bit those of one slab.  A small call, or a process with one CPU, runs
-    one slab on the calling thread.  The threads end before the call
-    returns, so none outlives it (nor survives into a forked child), and
-    an exception raised in any of them is raised here.
-    """
-    lead = z.shape[:-1]
-    n = z.shape[-1]
-    Z = z.reshape(-1, n)
-    neg_c = -np.broadcast_to(1.0 / (2.0 * sigma * sigma), lead).reshape(-1)
-    M = Z.shape[0]
-    out = np.empty((3, M, n))
-    slabs = max(1, min(len(os.sched_getaffinity(0)), M, M * n * n // _SLAB_MIN_PAIRS))
-    bounds = [M * k // slabs for k in range(slabs + 1)]
-    errors = []
-
-    def fill(start, stop):
-        try:
-            _affinity_rows(Z, neg_c, out, start, stop)
-        except Exception as exc:  # raised again in the calling thread
-            errors.append(exc)
-
-    threads = [Thread(target=fill, args=(bounds[k], bounds[k + 1]))
-               for k in range(1, slabs)]
-    for t in threads:
-        t.start()
-    try:
-        _affinity_rows(Z, neg_c, out, bounds[0], bounds[1])
-    finally:
-        for t in threads:
-            t.join()
-    if errors:
-        raise errors[0]
     return tuple(out.reshape(3, *z.shape))
 
 
@@ -197,8 +156,9 @@ def _fmean_factors(z, p, A, ln_denom, omega):
     dz = (dA omega) * bracket.  Elementwise only: no row depends on another.
     """
     p = p[..., None]
-    np.exp(p * log_softplus(z) - ln_denom[..., None], out=omega)
-    bracket = p * sigmoid_softplus_ratio(z)
+    lnzp, ratio = log_softplus_and_ratio(z)
+    np.exp(p * lnzp - ln_denom[..., None], out=omega)
+    bracket = p * ratio
     bracket *= z - A[..., None]
     return np.add(1.0, bracket, out=bracket)
 
@@ -283,6 +243,56 @@ def _add_rows(total, part):
         total += row
 
 
+def _split(count, width):
+    """The threads of a pass over ``count`` rows of ``width`` elements: one per
+    CPU the process may run on, but no more than the rows fill blocks of
+    ``_BLOCK_ELEMS`` elements, so that a call of one block (every gradcheck
+    call) runs on the calling thread alone."""
+    full = count // max(1, _BLOCK_ELEMS // width)
+    return max(1, min(len(os.sched_getaffinity(0)), full))
+
+
+def _on_threads(count, work, barrier=None):
+    """Run ``work(k)`` for each k in ``range(count)``: k = 0 on the calling
+    thread, each other k on a thread of its own.
+
+    The threads start and join here, so none outlives the call (nor survives
+    into a forked child).  The first exception that any of them raises, or
+    that starting one raises, is raised here once all have stopped; it also
+    breaks ``barrier``, so that no thread waits there for one that has
+    stopped.  numpy's elementwise loops, matmul and einsum release the
+    interpreter lock, so the threads run at once.
+    """
+    if count == 1:
+        return work(0)
+    errors = []
+
+    def fail(exc):
+        errors.append(exc)
+        if barrier is not None:
+            barrier.abort()
+
+    def run(k):
+        try:
+            work(k)
+        except BaseException as exc:  # raised again on the calling thread
+            fail(exc)
+
+    threads = [Thread(target=run, args=(k,)) for k in range(1, count)]
+    try:
+        for t in threads:
+            t.start()
+    except BaseException as exc:
+        fail(exc)
+    else:
+        run(0)
+    for t in threads:
+        if t.ident is not None:  # started
+            t.join()
+    if errors:
+        raise errors[0]
+
+
 LINEAR, FMEAN, GAUSSIAN = "linear", "fmean", "gaussian"
 
 # kind -> the paths that reduce each unit's contributions; the linear path,
@@ -310,6 +320,15 @@ class HybridLayer(Layer):
     gradient factors and F-Mean's S and log denominator; the backward
     rebuilds F-Mean's factors from those and multiplies each path's by the
     upstream.
+
+    Each pass runs on T = min(CPUs, full-size blocks) threads, the calling
+    one among them (:func:`_split`, :func:`_on_threads`).  The forward gives
+    each thread one contiguous run of blocks, since every row's output is its
+    own.  The backward deals its blocks out in rounds of T, the k-th of each
+    round to thread k, which writes its rows of dx and leaves their dW terms
+    dz * x in a buffer of its own; between rounds the calling thread adds
+    those terms into dW in batch order.  The (batch, units) sums of the
+    other gradients it makes before the threads start, whole.
     """
 
     def __init__(self, in_units, out_units, kind: str, rng=None, eps: float = EPS):
@@ -352,23 +371,29 @@ class HybridLayer(Layer):
         shapes = {FMEAN: [(2, B, U)], GAUSSIAN: [(1, B, U, n), (2, B, U)]}
         keep = {path: [np.empty(shape) for shape in shapes[path]]
                 for path in self.paths if train and path in shapes}
-        for rows in _blocks(B, W.size, _BLOCK_ELEMS):
-            z = x[rows, None, :] * W[None, :, :]  # z[b, u, i] = W[u, i] * x[b, i]
-            a = []  # each path's output
-            for path in self.paths:
-                kept = [f[:, rows] for f in keep.get(path, ())]  # the block's rows
-                if path == LINEAR:
-                    a.append(z.sum(axis=-1))
-                elif path == FMEAN:
-                    a.append(_fmean_eval(z, self.p.data[None, :], self.eps, *kept)[0])
-                else:
-                    a.append(_gaussian_eval(z, self.log_sigma.data[None, :], *kept))
-            mixed = blend[0] * a[0]
-            for w, path_out in zip(blend[1:], a[1:]):
-                mixed = mixed + w * path_out
-            np.add(mixed, self.b.data, out=out[rows])
-            if train:
-                outs[:, rows] = a
+        T = _split(B, W.size)
+        blocks = _blocks(B, W.size, _BLOCK_ELEMS // T)
+
+        def run(k):  # the k-th of T contiguous runs of blocks
+            for rows in blocks[len(blocks) * k // T:len(blocks) * (k + 1) // T]:
+                z = x[rows, None, :] * W[None, :, :]  # z[b, u, i] = W[u, i] * x[b, i]
+                a = []  # each path's output
+                for path in self.paths:
+                    kept = [f[:, rows] for f in keep.get(path, ())]  # the block's rows
+                    if path == LINEAR:
+                        a.append(z.sum(axis=-1))
+                    elif path == FMEAN:
+                        a.append(_fmean_eval(z, self.p.data[None, :], self.eps, *kept)[0])
+                    else:
+                        a.append(_gaussian_eval(z, self.log_sigma.data[None, :], *kept))
+                mixed = blend[0] * a[0]
+                for w, path_out in zip(blend[1:], a[1:]):
+                    mixed = mixed + w * path_out
+                np.add(mixed, self.b.data, out=out[rows])
+                if train:
+                    outs[:, rows] = a
+
+        _on_threads(T, run)
         if train:
             self._cache = (x, blend, outs, keep)
         return out
@@ -379,48 +404,71 @@ class HybridLayer(Layer):
         B, (U, n) = len(x), W.shape
         upstream = _upstream(upstream, (B, U))
         self.b.grad = upstream.sum(axis=0)
-        dx = np.empty(x.shape)
         # batch sums that start at +0 and add rows in batch order, as numpy's
-        # sum over axis 0 does, so no bit depends on the blocks; sens sums the
-        # upstream times each path's output, or the second's less the first's
+        # sum over axis 0 does, so no bit depends on the blocks or threads;
+        # sens sums the upstream times each path's output, or the second's
+        # less the first's; the (batch, units) ones are made here whole
         dW, dp, dls = np.zeros((U, n)), np.zeros(U), np.zeros(U)
         sens = np.zeros(({1: 0, 2: 1, 3: 3}[len(blend)], U))
-        # every row's work is its own, so these blocks need not be the
-        # forward's; a quarter of their size bounds F-Mean's rebuild, whose
-        # elementwise passes hold several block arrays at once
-        blocks = _blocks(B, U * n, _BLOCK_ELEMS // 4)
-        bufs = np.empty((2, blocks[0].stop, U, n))  # every block's dz and scratch
-        for rows in blocks:
-            up, o = upstream[rows], outs[:, rows]
-            for total, a in zip(sens, [o[1] - o[0]] if len(o) == 2 else o):
-                _add_rows(total, up * a)
+        for total, a in zip(sens, [outs[1] - outs[0]] if len(outs) == 2 else outs):
+            _add_rows(total, upstream * a)
+        for path, weight in zip(self.paths, blend):  # upstream * weight, each path's share
+            if path == FMEAN:
+                _add_rows(dp, upstream * weight * keep[FMEAN][0][0])
+            elif path == GAUSSIAN:
+                coef, X = keep[GAUSSIAN][1]
+                _add_rows(dls, upstream * weight * coef * X)
+        dx = np.empty(x.shape)
+
+        def grads(rows, dz, tmp):
+            """Write dx's ``rows``, and their (rows, units, n) dW terms into ``tmp``."""
             # dz = the last novel path's part + (... + (the first's + the
             # linear broadcast)), each part made in place; IEEE addition commutes
-            dz, tmp = bufs[:, :len(up)]
             parts, lin = iter((dz, tmp)), None
-            for path, weight, a in zip(self.paths, blend, o):
-                d = up * weight
+            for path, weight, a in zip(self.paths, blend, outs[:, rows]):
+                d = upstream[rows] * weight
                 if path == LINEAR:
                     lin = d[..., None]
                     continue
                 kept, part = [f[:, rows] for f in keep[path]], next(parts)
                 if path == FMEAN:  # part = (d omega) * bracket
-                    (small,) = kept
                     z = x[rows, None, :] * W[None, :, :]
-                    bracket = _fmean_factors(z, self.p.data[None, :], a, small[1], part)
+                    bracket = _fmean_factors(z, self.p.data[None, :], a, kept[0][1], part)
                     np.multiply(d[..., None], part, out=part)
                     np.multiply(part, bracket, out=part)
-                    _add_rows(dp, d * small[0])
                 else:  # part = d J
-                    big, small = kept
-                    np.multiply(d[..., None], big[0], out=part)
-                    _add_rows(dls, d * small[0] * small[1])
+                    np.multiply(d[..., None], kept[0][0], out=part)
                 if part is tmp:
                     np.add(tmp, dz, out=dz)
                 elif lin is not None:
                     np.add(dz, lin, out=dz)
-            _add_rows(dW, np.multiply(dz, x[rows, None, :], out=tmp))
+            np.multiply(dz, x[rows, None, :], out=tmp)
             dx[rows] = np.einsum("bun,un->bn", dz, W)
+
+        # every row's work is its own, so these blocks need not be the
+        # forward's; a quarter of their size bounds F-Mean's rebuild, whose
+        # elementwise passes hold several block arrays at once.  Rounds of T
+        # blocks, the k-th of each on thread k; between rounds the calling
+        # thread adds the round's dW terms in batch order
+        T = _split(B, U * n)
+        blocks = _blocks(B, U * n, _BLOCK_ELEMS // (4 * T))
+        bufs = np.empty((T, 2, blocks[0].stop, U, n))  # each thread's dz and dW terms
+        rounds = Barrier(T) if T > 1 else None  # one thread waits for no other
+
+        def run(k):
+            for first in range(0, len(blocks), T):
+                if first + k < len(blocks):
+                    rows = blocks[first + k]
+                    grads(rows, *bufs[k, :, :rows.stop - rows.start])
+                if rounds:
+                    rounds.wait()  # the round's terms are written
+                if k == 0:
+                    for buf, rows in zip(bufs, blocks[first:first + T]):
+                        _add_rows(dW, buf[1, :rows.stop - rows.start])
+                if rounds:
+                    rounds.wait()  # and added, so the buffers are free
+
+        _on_threads(T, run, rounds)
         for param, grad in ((self.W, dW), (self.p, dp), (self.log_sigma, dls)):
             if param is not None:
                 param.grad = grad

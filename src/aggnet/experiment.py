@@ -15,6 +15,7 @@ import csv
 import json
 import sys
 import time
+import traceback
 import typing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -369,7 +370,9 @@ def sweep(matrix: dict, out_dir=None, log=None) -> list[dict]:
     ``matrix`` holds optional ``archs``, ``aggregations`` and ``seeds`` lists
     and any other ExperimentConfig overrides.  A bad matrix, an empty axis or
     a repeated axis value included, raises ValueError before any row runs; a
-    failed run is recorded and the sweep continues.
+    failed run is recorded and the sweep continues.  A failed row keeps its
+    traceback under ``traceback`` (None in a row that ran), also written to
+    ``error.txt`` in its run directory; ``sweep.csv`` leaves it out.
     """
     if not isinstance(matrix, dict):
         raise ValueError(f"sweep matrix must be a JSON object, got {type(matrix).__name__}")
@@ -392,7 +395,7 @@ def sweep(matrix: dict, out_dir=None, log=None) -> list[dict]:
         for seed in seeds:
             for agg in aggregations:
                 row = {"arch": arch, "aggregation": agg, "seed": seed,
-                       **dict.fromkeys(_RESULT_KEYS)}
+                       **dict.fromkeys(_RESULT_KEYS), "traceback": None}
                 run_dir = Path(out_dir) / f"{arch}-{agg}-seed{seed}" if out_dir else None
                 try:
                     cfg = ExperimentConfig.from_dict(
@@ -405,6 +408,11 @@ def sweep(matrix: dict, out_dir=None, log=None) -> list[dict]:
                     row["status"] = "ok"
                 except Exception as exc:  # record and continue
                     row["status"] = f"error: {exc}"
+                    row["traceback"] = traceback.format_exc()
+                    if run_dir is not None:
+                        run_dir.mkdir(parents=True, exist_ok=True)
+                        with atomic_open(run_dir / "error.txt") as f:
+                            f.write(row["traceback"])
                 rows.append(row)
                 if log:
                     log(f"[sweep] {arch}/{agg}/seed{seed}: {row['status']}")

@@ -51,6 +51,14 @@ def softplus(t) -> np.ndarray:
     return np.logaddexp(0.0, t)
 
 
+def _softplus_guarded(t):
+    """``t < -30`` and softplus(t) with those entries taken at 0 instead, in
+    one pass: the branch both softplus logs and ratios below pin."""
+    small = t < -_SOFTPLUS_EXACT
+    safe = np.where(small, 0.0, t)
+    return small, safe, np.logaddexp(0.0, safe)
+
+
 def log_softplus(t) -> np.ndarray:
     """Elementwise ln(softplus(t)), finite for every finite t.
 
@@ -58,8 +66,7 @@ def log_softplus(t) -> np.ndarray:
     t -> -inf, the log is taken as t itself on that branch.
     """
     t = check_finite(as_tensor(t))
-    small = t < -_SOFTPLUS_EXACT
-    sp = np.logaddexp(0.0, np.where(small, 0.0, t))
+    small, _, sp = _softplus_guarded(t)
     return np.where(small, t, np.log(sp))
 
 
@@ -76,11 +83,16 @@ def sigmoid_softplus_ratio(t) -> np.ndarray:
     Both factors underflow together as t -> -inf where the ratio tends
     to 1; that branch is pinned to avoid 0/0.
     """
-    t = as_tensor(t)
-    small = t < -_SOFTPLUS_EXACT
-    safe = np.where(small, 0.0, t)
-    ratio = sigmoid(safe) / np.logaddexp(0.0, safe)
-    return np.where(small, 1.0, ratio)
+    small, safe, sp = _softplus_guarded(as_tensor(t))
+    return np.where(small, 1.0, sigmoid(safe) / sp)
+
+
+def log_softplus_and_ratio(t):
+    """``(log_softplus(t), sigmoid_softplus_ratio(t))``, bit for bit, from one
+    softplus pass that both share."""
+    t = check_finite(as_tensor(t))
+    small, safe, sp = _softplus_guarded(t)
+    return np.where(small, t, np.log(sp)), np.where(small, 1.0, sigmoid(safe) / sp)
 
 
 def softmax(t, axis: int = -1) -> np.ndarray:

@@ -21,9 +21,7 @@ from aggnet.aggregation import (
     GaussianSupportLayer,
     HybridLayer,
     _CHUNK_ELEMS,
-    _SLAB_MIN_PAIRS,
     _affinity_moments,
-    _affinity_rows,
     fmean_weights,
     gaussian_affinity,
     gaussian_support_weights,
@@ -340,20 +338,24 @@ class TestGaussianSupportWeights:
         np.testing.assert_allclose(wp, w[perm], rtol=1e-12)
 
 
-def _child_moments(z, sigma, parent, results):
-    """In a forked child: whether the kernel there repeats the parent's moments."""
-    results.put(bool(np.array_equal(np.stack(_affinity_moments(z, sigma)), parent)))
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(k)``: from now on the layer sees k CPUs, on any machine."""
+    def set_cpus(k):
+        monkeypatch.setattr(aggregation.os, "sched_getaffinity", lambda pid: set(range(k)))
+
+    return set_cpus
 
 
 @pytest.fixture
-def two_cpus(monkeypatch):
-    """The kernel sees two CPUs, so it splits its rows on any machine."""
-    monkeypatch.setattr(aggregation.os, "sched_getaffinity", lambda pid: {0, 1})
+def two_cpus(cpus):
+    """The layer sees two CPUs, so it splits its passes on any machine."""
+    cpus(2)
 
 
 @pytest.fixture
 def threads_started(monkeypatch):
-    """The list of the threads the kernel starts, as it starts them."""
+    """The list of the threads the layer starts, as it starts them."""
     started = []
 
     class Counted(threading.Thread):
@@ -363,10 +365,6 @@ def threads_started(monkeypatch):
 
     monkeypatch.setattr(aggregation, "Thread", Counted)
     return started
-
-
-def _draw(rng, shape):
-    return rng.standard_normal(shape), rng.uniform(0.3, 3.0, size=shape[:-1])
 
 
 class TestAffinityMoments:
@@ -411,103 +409,6 @@ class TestAffinityMoments:
         np.testing.assert_allclose(r, aff.sum(-1), rtol=1e-12)
         np.testing.assert_allclose(s, aff @ z, rtol=1e-12)
         np.testing.assert_allclose(q, aff @ (z * z), rtol=1e-12)
-
-    @pytest.mark.parametrize("shape", [(128, 128, 128), (3, 43, 128)])
-    def test_slabs_equal_one_slab(self, shape, two_cpus, threads_started):
-        """Two slabs give the moments of one slab bit for bit: at the paper's
-        slot, and at 129 rows, which neither the two slabs nor the 4-row
-        chunk step divides."""
-        z, sigma = _draw(np.random.default_rng(21), shape)
-        got = np.stack(_affinity_moments(z, sigma))
-        assert len(threads_started) == 1
-        n = shape[-1]
-        Z = z.reshape(-1, n)
-        want = np.empty((3, *Z.shape))
-        _affinity_rows(Z, -1.0 / (2.0 * sigma * sigma).reshape(-1), want, 0, len(Z))
-        assert np.array_equal(got, want.reshape(got.shape))
-
-    def test_small_calls_start_no_thread(self, monkeypatch):
-        """gradcheck's aggregation checks, and the largest call that one slab
-        holds, run on the calling thread, even with 64 CPUs."""
-        monkeypatch.setattr(aggregation.os, "sched_getaffinity", lambda pid: set(range(64)))
-
-        def no_thread(*args, **kwargs):
-            raise AssertionError("the kernel started a thread")
-
-        monkeypatch.setattr(aggregation, "Thread", no_thread)
-        calls = []
-        rows = aggregation._affinity_rows
-        monkeypatch.setattr(aggregation, "_affinity_rows",
-                            lambda *args: calls.append(args) or rows(*args))
-        assert gradcheck.check_gaussian(2) < gradcheck.TOL
-        assert gradcheck.check_hybrid(2) < gradcheck.TOL
-        assert gradcheck.check_full_model() < 1e-4
-        assert calls
-        largest_one_slab = (2 * _SLAB_MIN_PAIRS // 128**2 - 1, 128)
-        _affinity_moments(*_draw(np.random.default_rng(22), largest_one_slab))
-
-    def test_slab_exception_raised_to_the_caller(self, two_cpus, monkeypatch):
-        """An exception in the second slab's thread is raised by the call."""
-        rows = aggregation._affinity_rows
-
-        def fail_second_slab(Z, neg_c, out, start, stop):
-            if start:
-                raise MemoryError("second slab")
-            rows(Z, neg_c, out, start, stop)
-
-        monkeypatch.setattr(aggregation, "_affinity_rows", fail_second_slab)
-        with pytest.raises(MemoryError, match="second slab"):
-            _affinity_moments(*_draw(np.random.default_rng(25), (4, 32, 128)))
-
-    def test_concurrent_callers_get_their_own_moments(self, two_cpus, threads_started):
-        """Two callers running the slabbed kernel at once, five times each,
-        each get exactly the moments of their own input."""
-        rng = np.random.default_rng(23)
-        inputs = [_draw(rng, (8, 32, 128)) for _ in range(2)]
-        want = [np.stack(_affinity_moments(z, sigma)) for z, sigma in inputs]
-        got = [[], []]
-        together = threading.Barrier(2)
-
-        def call(k):
-            for _ in range(5):
-                together.wait(timeout=60)
-                got[k].append(np.stack(_affinity_moments(*inputs[k])))
-
-        callers = [threading.Thread(target=call, args=(k,)) for k in range(2)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in callers:
-                t.start()
-            for t in callers:
-                t.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in callers)
-        assert len(threads_started) == 2 + 2 * 5
-        for k in range(2):
-            assert len(got[k]) == 5
-            assert all(np.array_equal(g, want[k]) for g in got[k])
-
-    def test_forked_child_runs_the_kernel(self, two_cpus, threads_started):
-        """A child forked after a threaded call runs the kernel, threaded
-        again, to the parent's moments: no thread or lock of the parent's
-        call is left for it to wait on."""
-        z, sigma = _draw(np.random.default_rng(24), (64, 128, 128))
-        parent = np.stack(_affinity_moments(z, sigma))
-        assert threads_started
-        ctx = multiprocessing.get_context("fork")
-        results = ctx.Queue()
-        child = ctx.Process(target=_child_moments, args=(z, sigma, parent, results))
-        child.start()
-        try:
-            assert results.get(timeout=60) is True
-        finally:
-            child.join(timeout=30)
-            if child.is_alive():
-                child.kill()
-                child.join()
-        assert child.exitcode == 0
 
 
 class TestGaussianSupportLayer:
@@ -828,78 +729,101 @@ def _ragged(blocks):
 class TestRowBlocks:
     @pytest.mark.parametrize("kind", list(KIND_PATHS))
     @pytest.mark.parametrize("shape, block_elems", [
-        ((37, 128, 128), None),  # forward blocks of 8 rows and a ragged one of 5
-        ((7, 5, 3), 2 * 5 * 3),  # forward blocks of 2 rows and a ragged one of 1
+        # forward blocks of 8 rows and a ragged one of 5 (on two threads, of 4
+        # and a ragged one of 1)
+        ((37, 128, 128), None),
+        # forward blocks of 5 rows and a ragged one of 1 (on two threads, of 2
+        # and a ragged one of 1)
+        ((11, 3, 2), 5 * 3 * 2),
         # a one-block forward; backward blocks of 2 rows and a ragged one of 1
         pytest.param((7, 5, 3), (None, 4 * 2 * 5 * 3), id="shape2-backward-only"),
     ])
-    def test_blocks_equal_one_block(self, kind, shape, block_elems, monkeypatch):
+    def test_blocks_equal_one_block(self, kind, shape, block_elems, cpus, threads_started,
+                                    monkeypatch):
         """Outputs, dx and every gradient are bit for bit those of one block,
-        and laid out alike, also where the backward's blocks are not the
-        forward's.  ``block_elems`` sets ``_BLOCK_ELEMS`` for the whole call,
-        or as a (forward, backward) pair, None keeping the default."""
-        batch, n, units = shape
-        pair = block_elems if isinstance(block_elems, tuple) else (block_elems, None)
+        and laid out alike, on one CPU and on two, also where the backward's
+        blocks are not the forward's.  ``block_elems`` sets ``_BLOCK_ELEMS``
+        for the whole call, or as a (forward, backward) pair, None keeping
+        the default."""
+        default = aggregation._BLOCK_ELEMS
+        fwd, bwd = block_elems if isinstance(block_elems, tuple) else (block_elems,) * 2
         walked = []  # the blocks of the eval forward, the train forward, the backward
 
         def spy(*args):
             walked.append(_blocks(*args))
             return walked[-1]
 
-        def patch(elems):
-            if elems is not None:
-                monkeypatch.setattr(aggregation, "_BLOCK_ELEMS", elems)
+        def results(fwd, bwd):
+            def patch(elems):
+                monkeypatch.setattr(aggregation, "_BLOCK_ELEMS", elems or default)
+
+            walked.clear()
+            threads_started.clear()
+            patch(fwd)
+            return _layer_results(kind, *shape, before_backward=lambda: patch(bwd))
 
         monkeypatch.setattr(aggregation, "_blocks", spy)
-        patch(pair[0])
-        got = _layer_results(kind, *shape, before_backward=lambda: patch(pair[1]))
-        forward, backward = walked[1:]
-        if pair[1] is None:
-            assert len(forward) >= 3 and _ragged(forward) and len(backward) >= len(forward)
-        else:
-            assert len(forward) == 1 and len(backward) >= 3 and _ragged(backward)
-        walked.clear()
-        monkeypatch.setattr(aggregation, "_BLOCK_ELEMS", 1 << 40)
-        want = _layer_results(kind, *shape)
-        assert [len(blocks) for blocks in walked] == [1, 1, 1]
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert g.shape == w.shape and g.strides == w.strides
-            assert g.tobytes() == w.tobytes()
+        want = results(1 << 40, 1 << 40)
+        assert [len(blocks) for blocks in walked] == [1, 1, 1] and not threads_started
+        for k in (1, 2):
+            cpus(k)
+            got = results(fwd, bwd)
+            forward, backward = walked[1:]
+            if fwd == bwd:
+                assert len(forward) >= 3 and _ragged(forward) and len(backward) >= len(forward)
+                # on two CPUs each pass splits in two: one thread beside the caller's
+                assert len(threads_started) == 3 * (k - 1)
+            else:
+                assert len(forward) == 1 and len(backward) >= 3 and _ragged(backward)
+                assert not threads_started
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.strides == w.strides
+                assert g.tobytes() == w.tobytes()
 
-    def test_eval_forward_memory(self, traced_peak):
+    def test_eval_forward_memory(self, cpus, traced_peak):
         """An eval forward at the paper's slot and eval batch holds less than
-        one (batch, units, n) array, 32 MiB (measured 6.3 MiB; a forward
-        over the whole batch at once held 257.0 MiB)."""
+        one (batch, units, n) array, 32 MiB, on one thread and on two, whose
+        blocks are half the size (measured 6.3 MiB on either; a forward over
+        the whole batch at once held 257.0 MiB)."""
         rng = np.random.default_rng(36)
         layer = HybridLayer(128, 128, "threeway-hybrid", rng)
         x = rng.standard_normal((256, 128))
-        assert traced_peak(lambda: layer.forward(x, train=False)) <= 32 * 2**20
+        for k in (1, 2):
+            cpus(k)
+            assert traced_peak(lambda: layer.forward(x, train=False)) <= 32 * 2**20
 
-    def test_backward_memory(self, traced_peak):
+    def test_backward_memory(self, cpus, traced_peak):
         """A backward at the paper's slot holds at most 2.5 (batch, units, n)
-        arrays beyond its cache (measured 0.16: its two block buffers and
-        F-Mean's rebuild, each of 2 rows; a backward that gathered the full
-        dz held 1.41)."""
+        arrays beyond its cache, on one thread and on two (measured 0.18 on
+        either: its block buffers and F-Mean's rebuild, each of 2 rows on one
+        thread and of 1 row per thread on two; a backward that gathered the
+        full dz held 1.41)."""
         rng = np.random.default_rng(37)
         B, U, n = 128, 128, 128
         layer = HybridLayer(n, U, "threeway-hybrid", rng)
-        layer.forward(rng.standard_normal((B, n)))
+        x = rng.standard_normal((B, n))
         up = rng.standard_normal((B, U))
-        assert traced_peak(lambda: layer.backward(up)) <= 2.5 * B * U * n * 8
+        for k in (1, 2):
+            cpus(k)
+            layer.forward(x)
+            assert traced_peak(lambda: layer.backward(up)) <= 2.5 * B * U * n * 8
 
     @pytest.mark.parametrize("batch", [128, 512])
-    def test_backward_memory_does_not_grow_with_the_batch(self, batch, traced_peak):
+    def test_backward_memory_does_not_grow_with_the_batch(self, batch, cpus, traced_peak):
         """A backward at the paper's slot holds at most 12 of one block's
-        (rows, units, n) arrays, 12 MiB, whatever the batch (measured 2.6 MiB
-        at batch 128 and 3.0 at 512; gathering the full dz held 22.5 and
-        71.3)."""
+        (rows, units, n) arrays, 12 MiB, whatever the batch, on one thread
+        and on two (measured 2.8 MiB at batch 128 and 3.2 at 512 on either;
+        gathering the full dz held 22.5 and 71.3)."""
         rng = np.random.default_rng(39)
         U = n = 128
         layer = HybridLayer(n, U, "threeway-hybrid", rng)
-        layer.forward(rng.standard_normal((batch, n)))
+        x = rng.standard_normal((batch, n))
         up = rng.standard_normal((batch, U))
-        assert traced_peak(lambda: layer.backward(up)) <= 12 * aggregation._BLOCK_ELEMS * 8
+        for k in (1, 2):
+            cpus(k)
+            layer.forward(x)
+            assert traced_peak(lambda: layer.backward(up)) <= 12 * aggregation._BLOCK_ELEMS * 8
 
     @pytest.mark.parametrize("kind, arrays", [
         ("fmean-hybrid", 0.5), ("gaussian-hybrid", 1.5), ("threeway-hybrid", 1.5),
@@ -917,11 +841,11 @@ class TestRowBlocks:
         assert traced_kept(lambda: layer.forward(x)) <= arrays * B * U * n * 8
 
     @pytest.mark.parametrize("kind, arrays", [("fmean-hybrid", 1), ("threeway-hybrid", 2)])
-    def test_train_step_peak(self, kind, arrays, traced_peak):
+    def test_train_step_peak(self, kind, arrays, cpus, traced_peak):
         """A train forward plus backward at the paper's slot, on ReLU'd input,
-        holds at most ``arrays`` (batch, units, n) arrays at once (measured
-        0.42 and 1.57; keeping F-Mean's omega and bracket from the forward
-        held 2.61 and 3.64)."""
+        holds at most ``arrays`` (batch, units, n) arrays at once, on one
+        thread and on two (measured 0.42 and 1.57 on either; keeping F-Mean's
+        omega and bracket from the forward held 2.61 and 3.64)."""
         rng = np.random.default_rng(41)
         B = U = n = 128
         layer = HybridLayer(n, U, kind, rng)
@@ -932,16 +856,188 @@ class TestRowBlocks:
             layer.forward(x)
             layer.backward(up)
 
-        assert traced_peak(step) <= arrays * B * U * n * 8
+        for k in (1, 2):
+            cpus(k)
+            assert traced_peak(step) <= arrays * B * U * n * 8
 
-    def test_each_block_kernel_call_keeps_both_cpus(self, two_cpus, threads_started):
-        """Each block's kernel call is large enough to split into two slabs,
-        so a batch of four blocks starts one kernel thread per block."""
+    def test_each_block_kernel_call_keeps_both_cpus(self, two_cpus, threads_started,
+                                                    monkeypatch):
+        """On two CPUs, each pass over a batch of four blocks starts one
+        thread beside the calling one, and the forward's kernel calls on the
+        two threads take half the rows each."""
         rng = np.random.default_rng(38)
         layer = HybridLayer(128, 128, "gaussian", rng)
-        layer.forward(rng.standard_normal((32, 128)), train=False)
+        x = rng.standard_normal((32, 128))
+        rows = {}  # thread -> the rows of its kernel calls
+        kernel = aggregation._affinity_moments
+
+        def counted(z, sigma):
+            ident = threading.get_ident()
+            rows[ident] = rows.get(ident, 0) + z.size // z.shape[-1]
+            return kernel(z, sigma)
+
+        monkeypatch.setattr(aggregation, "_affinity_moments", counted)
         assert len(_blocks(32, 128 * 128, aggregation._BLOCK_ELEMS)) == 4
-        assert len(threads_started) == 4
+        layer.forward(x, train=False)
+        assert len(threads_started) == 1
+        assert sorted(rows.values()) == [16 * 128] * 2
+        layer.forward(x)
+        layer.backward(rng.standard_normal((32, 128)))
+        assert len(threads_started) == 3
+
+
+def _child_results(kind, shape, parent, results):
+    """In a forked child: whether the layer there repeats the parent's results."""
+    got = _layer_results(kind, *shape)
+    results.put(all(g.tobytes() == w.tobytes() for g, w in zip(got, parent)))
+
+
+def _within(seconds, fn):
+    """``fn()`` on a thread of its own, failing the test, not hanging it,
+    if that thread has not finished after ``seconds``."""
+    outcome = []
+
+    def call():
+        try:
+            outcome.append((True, fn()))
+        except BaseException as exc:
+            outcome.append((False, exc))
+
+    t = threading.Thread(target=call, daemon=True)
+    t.start()
+    t.join(timeout=seconds)
+    assert outcome, f"still running after {seconds} s"
+    ok, value = outcome[0]
+    if not ok:
+        raise value
+    return value
+
+
+class TestLayerThreads:
+    """The layer's one thread split: T = min(CPUs, full-size blocks) threads
+    per pass, the calling thread one of them."""
+
+    @pytest.mark.parametrize("kind", list(KIND_PATHS))
+    def test_threads_equal_one_thread(self, kind, cpus, threads_started):
+        """The outputs, dx and every gradient are byte for byte the same on
+        1, 2 and 64 CPUs: over 37 rows at the paper's slot, 1, 2 and 4
+        threads per pass, the last backward round one block short."""
+        shape = (37, 128, 128)
+        cpus(1)
+        want = _layer_results(kind, *shape)
+        assert not threads_started
+        for k, threads in ((2, 2), (64, 4)):
+            cpus(k)
+            threads_started.clear()
+            got = _layer_results(kind, *shape)
+            assert len(threads_started) == 3 * (threads - 1)  # per pass, beside the caller
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+
+    def test_small_calls_start_no_thread(self, cpus, monkeypatch):
+        """gradcheck's aggregation checks, and a call at the paper's slot
+        whose rows fill one full block and a ragged one, run on the calling
+        thread alone, even with 64 CPUs."""
+        cpus(64)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("the layer started a thread")
+
+        monkeypatch.setattr(aggregation, "Thread", no_thread)
+        calls = []
+        kernel = aggregation._affinity_moments
+        monkeypatch.setattr(aggregation, "_affinity_moments",
+                            lambda z, sigma: calls.append(z.shape) or kernel(z, sigma))
+        assert gradcheck.check_gaussian(2) < gradcheck.TOL
+        assert gradcheck.check_hybrid(2) < gradcheck.TOL
+        assert gradcheck.check_full_model() < 1e-4
+        assert calls
+        one_full_block = 2 * (aggregation._BLOCK_ELEMS // 128**2) - 1
+        _layer_results("threeway-hybrid", one_full_block, 128, 128)
+
+    def test_worker_exception_raised_to_the_caller(self, two_cpus, threads_started,
+                                                   monkeypatch):
+        """An exception on the worker thread, in a forward's kernel call or a
+        backward's F-Mean rebuild, is raised by the call; so is one on the
+        calling thread in a backward, where the worker waits for its round.
+        No thread is left running."""
+        rng = np.random.default_rng(25)
+        layer = HybridLayer(128, 128, "threeway-hybrid", rng)
+        x, up = rng.standard_normal((32, 128)), rng.standard_normal((32, 128))
+
+        def failing(name, where):
+            fn = getattr(aggregation, name)
+
+            def call(*args):
+                if (threading.current_thread() in threads_started) == (where == "worker"):
+                    raise MemoryError(f"{name} on the {where}")
+                return fn(*args)
+
+            return call
+
+        with monkeypatch.context() as m:
+            m.setattr(aggregation, "_affinity_moments", failing("_affinity_moments", "worker"))
+            with pytest.raises(MemoryError, match="_affinity_moments on the worker"):
+                _within(60, lambda: layer.forward(x))
+        for where in ("worker", "caller"):
+            layer.forward(x)
+            with monkeypatch.context() as m:
+                m.setattr(aggregation, "_fmean_factors", failing("_fmean_factors", where))
+                with pytest.raises(MemoryError, match=f"_fmean_factors on the {where}"):
+                    _within(60, lambda: layer.backward(up))
+        assert len(threads_started) == 5
+        assert not any(t.is_alive() for t in threads_started)
+
+    def test_concurrent_callers_get_their_own_results(self, two_cpus, threads_started):
+        """Two callers running threaded passes at once, each with its own
+        layer, five times each, each get exactly their own layer's results."""
+        kinds, shape = ("threeway-hybrid", "fmean-hybrid"), (16, 128, 128)
+        want = [_layer_results(kind, *shape) for kind in kinds]
+        got = [[], []]
+        together = threading.Barrier(2)
+
+        def call(k):
+            for _ in range(5):
+                together.wait(timeout=60)
+                got[k].append(_layer_results(kinds[k], *shape))
+
+        callers = [threading.Thread(target=call, args=(k,)) for k in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert len(threads_started) == 3 * (2 + 2 * 5)  # one per pass
+        for k in range(2):
+            assert len(got[k]) == 5
+            for results in got[k]:
+                assert all(g.tobytes() == w.tobytes() for g, w in zip(results, want[k]))
+
+    def test_forked_child_runs_the_layer(self, two_cpus, threads_started):
+        """A child forked after a threaded call runs the layer, threaded
+        again, to the parent's results: no thread or lock of the parent's
+        calls is left for it to wait on."""
+        shape = (16, 128, 128)
+        parent = _layer_results("threeway-hybrid", *shape)
+        assert threads_started
+        ctx = multiprocessing.get_context("fork")
+        results = ctx.Queue()
+        child = ctx.Process(target=_child_results,
+                            args=("threeway-hybrid", shape, parent, results))
+        child.start()
+        try:
+            assert results.get(timeout=60) is True
+        finally:
+            child.join(timeout=30)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert child.exitcode == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Model assembly, the training protocol, metrics and the sweep."""
 
+import csv
 import dataclasses
 import json
 import math
@@ -12,6 +13,7 @@ import pytest
 
 from aggnet.aggregation import FMeanLayer, GaussianSupportLayer
 from aggnet.experiment import (
+    SWEEP_COLUMNS,
     ExperimentConfig,
     TrainingDiverged,
     build_model,
@@ -486,16 +488,29 @@ class TestSweep:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             listing + ["mlp-baseline-seed5"])
 
-    def test_failed_run_recorded_and_sweep_continues(self):
+    def test_failed_run_recorded_and_sweep_continues(self, tmp_path):
+        """The failed row keeps its traceback in ``sweep.json`` and in its run
+        directory's ``error.txt``; ``sweep.csv`` keeps its columns."""
         matrix = {
             "archs": ["mlp"], "aggregations": ["not-a-kind", "baseline"],
             "seeds": [0], "data": "synthetic", "proj_dim": 8, "hidden_dim": 8,
             "batch_size": 32, "max_epochs": 1,
             "synthetic_train": 96, "synthetic_val": 32, "synthetic_test": 32,
         }
-        rows = sweep(matrix)
+        rows = sweep(matrix, out_dir=tmp_path)
         assert rows[0]["status"].startswith("error:")
         assert rows[1]["status"] == "ok"
+        failed = rows[0]["traceback"]
+        assert failed.startswith("Traceback (most recent call last):")
+        assert "from_dict" in failed
+        assert failed.rstrip().endswith(rows[0]["status"][len("error: "):])
+        assert rows[1]["traceback"] is None
+        saved = json.loads((tmp_path / "sweep.json").read_text())
+        assert [r["traceback"] for r in saved] == [failed, None]
+        assert (tmp_path / "mlp-not-a-kind-seed0" / "error.txt").read_text() == failed
+        assert not (tmp_path / "mlp-baseline-seed0" / "error.txt").exists()
+        with open(tmp_path / "sweep.csv", newline="") as f:
+            assert next(csv.reader(f)) == SWEEP_COLUMNS
 
     def test_wrong_type_override_recorded_per_row(self):
         """Each row's config goes through ``from_dict``, so a wrongly typed

@@ -9,6 +9,7 @@ from aggnet.ops import (
     InvalidValueError,
     ShapeError,
     log_softplus,
+    log_softplus_and_ratio,
     matmul,
     sigmoid,
     sigmoid_softplus_ratio,
@@ -108,6 +109,23 @@ class TestSigmoidSoftplusRatio:
         """The ratio tends to 1 as t -> -inf and stays finite everywhere."""
         t = np.array([-40.0, -400.0, -4e4])
         np.testing.assert_allclose(sigmoid_softplus_ratio(t), 1.0, atol=1e-12)
+
+
+class TestLogSoftplusAndRatio:
+    def test_bit_for_bit_the_two_ops(self):
+        """Both halves equal log_softplus and sigmoid_softplus_ratio byte for
+        byte, on both sides of the t = -30 branch and deep in either tail."""
+        rng = np.random.default_rng(14)
+        t = np.concatenate([rng.uniform(-60, 60, size=5000), [-30.0, -1e5, 1e5, 0.0]])
+        t = t.reshape(4, -1)
+        lnsp, ratio = log_softplus_and_ratio(t)
+        assert lnsp.tobytes() == log_softplus(t).tobytes()
+        assert ratio.tobytes() == sigmoid_softplus_ratio(t).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_error(self, bad):
+        with pytest.raises(InvalidValueError):
+            log_softplus_and_ratio(np.array([0.0, bad]))
 
 
 class TestSoftmax:
